@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -58,6 +59,23 @@ inline void apply_precision(const CliArgs& args, coupled::Config& cfg) {
                  p.c_str());
     std::exit(2);
   }
+}
+
+/// Parses a --strategy value (coupled::strategy_name spelling); exits
+/// with a usage error on an unknown name.
+inline coupled::Strategy strategy_by_name(const std::string& name) {
+  using coupled::Strategy;
+  for (Strategy s :
+       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
+        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
+        Strategy::kMultiFactorization,
+        Strategy::kMultiFactorizationCompressed,
+        Strategy::kMultiSolveRandomized}) {
+    if (name == coupled::strategy_name(s)) return s;
+  }
+  std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
+               name.c_str());
+  std::exit(2);
 }
 
 inline std::string mib(std::size_t bytes) {

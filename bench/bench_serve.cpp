@@ -32,20 +32,6 @@ using server::SolverService;
 
 namespace {
 
-coupled::Strategy strategy_by_name(const std::string& name) {
-  for (coupled::Strategy s :
-       {coupled::Strategy::kBaselineCoupling,
-        coupled::Strategy::kAdvancedCoupling, coupled::Strategy::kMultiSolve,
-        coupled::Strategy::kMultiSolveCompressed,
-        coupled::Strategy::kMultiFactorization,
-        coupled::Strategy::kMultiFactorizationCompressed,
-        coupled::Strategy::kMultiSolveRandomized}) {
-    if (name == coupled::strategy_name(s)) return s;
-  }
-  std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n", name.c_str());
-  std::exit(2);
-}
-
 /// Distinct deterministic request columns; requests cycle through them so
 /// every batch mixes different right-hand sides.
 constexpr int kDistinctCols = 8;
@@ -355,7 +341,7 @@ int main(int argc, char** argv) {
     return run_socket_mode(args, scene, concurrency, requests, socket_path);
 
   ServeOptions opts;
-  opts.solver.strategy = strategy_by_name(
+  opts.solver.strategy = bench::strategy_by_name(
       args.get("strategy", coupled::strategy_name(coupled::Strategy::kMultiSolve)));
   opts.solver.eps = args.get_double("eps", 1e-4);
   opts.coalesce_window_us = static_cast<int>(args.get_int("window", 200));

@@ -22,20 +22,6 @@ using coupled::Strategy;
 
 namespace {
 
-Strategy strategy_by_name(const std::string& name) {
-  for (Strategy s :
-       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
-        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
-        Strategy::kMultiFactorization,
-        Strategy::kMultiFactorizationCompressed,
-        Strategy::kMultiSolveRandomized}) {
-    if (name == coupled::strategy_name(s)) return s;
-  }
-  std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 // RHS block whose column j is (j+1) x the system's built-in RHS; column j
 // of the exact solution is then (j+1) x the manufactured reference, which
 // validates every column of the batch against the known answer.
@@ -82,7 +68,7 @@ int main(int argc, char** argv) {
   const index_t n = static_cast<index_t>(args.get_int("n", 6000));
   const index_t one_nrhs = static_cast<index_t>(args.get_int("nrhs", 0));
   Config cfg;
-  cfg.strategy = strategy_by_name(
+  cfg.strategy = bench::strategy_by_name(
       args.get("strategy", coupled::strategy_name(
                                Strategy::kMultiSolveCompressed)));
   cfg.refine_iterations = static_cast<int>(args.get_int("refine", 0));

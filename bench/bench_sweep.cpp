@@ -25,20 +25,6 @@ using coupled::SweepStats;
 
 namespace {
 
-Strategy strategy_by_name(const std::string& name) {
-  for (Strategy s :
-       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
-        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
-        Strategy::kMultiFactorization,
-        Strategy::kMultiFactorizationCompressed,
-        Strategy::kMultiSolveRandomized}) {
-    if (name == coupled::strategy_name(s)) return s;
-  }
-  std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 double counter_sum(const SweepStats& sw, const char* name) {
   double total = 0;
   for (const auto& f : sw.freqs) {
@@ -85,7 +71,7 @@ int main(int argc, char** argv) {
       "freqs", {1.1, 1.125, 1.15, 1.175, 1.2, 1.225, 1.25, 1.275});
 
   Config cfg;
-  cfg.strategy = strategy_by_name(args.get(
+  cfg.strategy = bench::strategy_by_name(args.get(
       "strategy", coupled::strategy_name(Strategy::kMultiSolveCompressed)));
   cfg.eps = args.get_double("eps", 1e-4);
   cfg.refine_tolerance = args.get_double("tol", 1e-8);

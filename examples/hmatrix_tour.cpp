@@ -1,6 +1,7 @@
 // Tour of the standalone H-matrix library: compressed assembly of a BEM
-// operator via ACA, accuracy/compression trade-off across eps, H-LU solve,
-// and the compressed AXPY primitive the coupled algorithms are built on.
+// operator via ACA, accuracy/compression trade-off across eps, H-LDL^T
+// and H-LU solves, and the compressed AXPY primitive the coupled
+// algorithms are built on.
 //
 //   $ ./hmatrix_tour [--n-theta 32]
 #include <cstdio>
@@ -15,8 +16,8 @@ int main(int argc, char** argv) {
   using namespace cs;
   CliArgs args(argc, argv);
   args.describe("n-theta", "angular resolution of the surface (default 32)");
-  args.check("Standalone H-matrix demo: ACA assembly, H-LU, compressed "
-             "AXPY.");
+  args.check("Standalone H-matrix demo: ACA assembly, H-LDLT / H-LU, "
+             "compressed AXPY.");
 
   // A cylinder surface and its Laplace single-layer BEM operator.
   fembem::PipeParams pp;
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
                 H.compression_ratio(), H.max_rank());
   }
 
-  // Solve S x = b with H-LU at eps = 1e-6 and verify against a matvec.
+  // Solve S x = b at eps = 1e-6 and verify against a matvec.
   hmat::HOptions opt;
   opt.eps = 1e-6;
   auto H = hmat::HMatrix<double>::assemble(tree, tree, kernel, opt);
@@ -55,20 +56,22 @@ int main(int argc, char** argv) {
   for (index_t i = 0; i < n; ++i) x_ref(i, 0) = rng.uniform(-1, 1);
   H.mult(1.0, la::ConstMatrixView<double>(x_ref.view()), 0.0, b.view());
 
-  auto H_factored = hmat::HMatrix<double>::assemble(tree, tree, kernel, opt);
-  H_factored.lu_factorize();
-  la::Matrix<double> x = b;
-  H_factored.solve(x.view());
-  std::printf("\nH-LU solve relative error  : %.2e\n",
-              la::rel_diff<double>(x.view(), x_ref.view()));
-
-  // The symmetric H-LDL^T mode (the paper's HMAT path for symmetric
-  // systems) gives the same answer.
+  // The operator is symmetric, so it gets the symmetric H-LDL^T (the
+  // paper's HMAT mode), as the coupled solver's Schur H-matrix does.
   auto H_sym = hmat::HMatrix<double>::assemble(tree, tree, kernel, opt);
   H_sym.ldlt_factorize();
+  la::Matrix<double> x = b;
+  H_sym.solve(x.view());
+  std::printf("\nH-LDLT solve relative error: %.2e\n",
+              la::rel_diff<double>(x.view(), x_ref.view()));
+
+  // H-LU covers unsymmetric operators and is the fallback after an
+  // H-LDL^T pivot breakdown; it gives the same answer here.
+  auto H_lu = hmat::HMatrix<double>::assemble(tree, tree, kernel, opt);
+  H_lu.lu_factorize();
   la::Matrix<double> x2 = b;
-  H_sym.solve(x2.view());
-  std::printf("H-LDLT solve relative error: %.2e\n",
+  H_lu.solve(x2.view());
+  std::printf("H-LU solve relative error  : %.2e\n",
               la::rel_diff<double>(x2.view(), x_ref.view()));
 
   // Compressed AXPY: fold a dense rank-structured update into H.

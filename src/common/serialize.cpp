@@ -78,6 +78,7 @@ Writer::~Writer() {
 void Writer::raw_write(const void* data, std::size_t n) {
   if (failpoint("ckpt.write"))
     throw IoError("ckpt.write", "injected checkpoint write failure", EIO);
+  if (n == 0) return;  // an empty vector's data() may be null
   errno = 0;
   const std::size_t wrote = std::fwrite(data, 1, n, f_);
   if (wrote != n) {

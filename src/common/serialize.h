@@ -33,7 +33,9 @@ namespace cs::serialize {
 /// feeding the previous return value as `crc` (start from 0).
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n);
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped whenever a section's layout changes; the Reader rejects any
+/// other version at ckpt.version (see DESIGN.md §14).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Streaming checkpoint writer. Usage: begin_section / typed writes /
 /// end_section, repeated, then commit(). Until commit() returns, the

@@ -57,8 +57,8 @@ std::string validate_config(const Config& c) {
   //   * n_S only matters for kMultiSolveCompressed (panel = max(n_S, n_c));
   //   * n_b only matters for the multi-factorization pair;
   //   * kMultiSolveRandomized ignores n_c/n_S/n_b entirely — its blocking
-  //     is the adaptive sample size (rand_initial_rank, doubled until the
-  //     posterior probe passes, capped at rand_max_rank_ratio * n_BEM).
+  //     is the adaptive sample size (kRandInitialRank, doubled until the
+  //     posterior probe passes, capped at kRandMaxRankRatio * n_BEM).
   if (c.n_c < 1) return "n_c must be >= 1";
   if (c.n_S < 1) return "n_S must be >= 1";
   if (c.n_b < 1) return "n_b must be >= 1";
@@ -67,9 +67,6 @@ std::string validate_config(const Config& c) {
   if (!(c.eps > 0)) return "eps must be > 0";
   if (!(c.eta > 0)) return "eta must be > 0";
   if (c.hmat_leaf < 2) return "hmat_leaf must be >= 2";
-  if (c.rand_initial_rank < 1) return "rand_initial_rank must be >= 1";
-  if (!(c.rand_max_rank_ratio > 0) || c.rand_max_rank_ratio > 1)
-    return "rand_max_rank_ratio must be in (0, 1]";
   if (c.refine_iterations < 0) return "refine_iterations must be >= 0";
   if (c.refine_tolerance < 0) return "refine_tolerance must be >= 0";
   // Mixed precision relies on the double-precision refinement sweeps to
@@ -80,8 +77,6 @@ std::string validate_config(const Config& c) {
            "(double-precision iterative refinement recovers the accuracy "
            "lost to single-precision factors)";
   if (c.num_threads < 0) return "num_threads must be >= 0";
-  if (c.max_recovery_attempts < 0)
-    return "max_recovery_attempts must be >= 0";
   if (c.out_of_core) {
     // Probe the spill directory now: an unusable ooc_dir must reject the
     // config up front (a daemon fails at startup), not surface as an
@@ -96,6 +91,11 @@ std::string validate_config(const Config& c) {
 }
 
 namespace {
+
+/// Extra attempts the degrade-and-retry driver may run after the first.
+constexpr int kMaxRecoveryAttempts = 8;
+/// Period of the memory-timeline sampler while the process Tracer is on.
+constexpr int kTraceSampleUs = 1000;
 
 /// Map a validate_config complaint to a structured error: filesystem
 /// problems (the "ooc_dir: " prefix) are kIo at site "ooc.dir" so callers
@@ -248,6 +248,7 @@ class PermutedGenerator final : public hmat::MatrixGenerator<T> {
 struct Degrade {
   bool sparse_ldlt_ok = true;  ///< false: factor sparse blocks with LU
   bool dense_ldlt_ok = true;   ///< false: factor the dense Schur with LU
+  bool hmat_ldlt_ok = true;    ///< false: factor the H-matrix Schur with H-LU
 };
 
 /// Shared context of one factorization attempt, parameterized on the input
@@ -671,13 +672,13 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   }
 }
 
-/// Factor the compressed Schur H-matrix: H-LU by default, symmetric
-/// H-LDL^T (the paper's HMAT mode) when requested and applicable. A pivot
-/// breakdown in the unpivoted H-LDL^T is recoverable (the driver clears
-/// hmat_symmetric_ldlt and retries with H-LU); one in H-LU is not.
+/// Factor the compressed Schur H-matrix: symmetric H-LDL^T (the paper's
+/// HMAT mode) on a symmetric system, H-LU otherwise. A pivot breakdown in
+/// the unpivoted H-LDL^T is recoverable (the driver retries with H-LU);
+/// one in H-LU is not.
 template <class T, class ST>
 void factor_schur_h(HMatrix<ST>& S, const Run<T, ST>& run) {
-  const bool ldlt = run.cfg.hmat_symmetric_ldlt && run.sys.symmetric;
+  const bool ldlt = run.sys.symmetric && run.deg.hmat_ldlt_ok;
   try {
     if (ldlt) {
       S.ldlt_factorize();
@@ -969,9 +970,8 @@ void run_multisolve_randomized(Run<T, ST>& run) {
     // range finder are all Schur-feeding panels.
     MemoryScope rand_scope(MemTag::kSchurPanel);
     const index_t cap = std::max<index_t>(
-        1, std::min<index_t>(
-               ns, static_cast<index_t>(cfg.rand_max_rank_ratio * ns)));
-    index_t r = std::min<index_t>(cap, cfg.rand_initial_rank);
+        1, std::min<index_t>(ns, static_cast<index_t>(kRandMaxRankRatio * ns)));
+    index_t r = std::min<index_t>(cap, kRandInitialRank);
     Matrix<ST> W(ns, 0);
     Matrix<ST> Q;
     while (true) {
@@ -1227,21 +1227,20 @@ void run_multifacto(Run<T, ST>& run, bool compressed) {
   // parallel, each acquiring a slot sized by the planner's per-job
   // footprint before it allocates. Near the budget the worker count (and
   // the runtime admission) degrade to one job in flight -- the serial
-  // algorithm -- instead of throwing.
+  // algorithm -- instead of throwing. predict_peak counts the same workers.
+  const bool parallel = resolve_threads(cfg.num_threads) > 1 && nb > 1;
   int workers = 1;
   std::size_t job_bytes = 0;
-  if (resolve_threads(cfg.num_threads) > 1 && jobs.size() > 1) {
+  if (parallel) {
     PlannerInputs in = planner_inputs(run.sys, cfg);
     in.scalar_bytes = sizeof(ST);  // jobs allocate in factor precision
     job_bytes = multifacto_job_bytes(in, cfg);
-    workers = admissible_inflight(
-        job_bytes, cfg.memory_budget, MemoryTracker::instance().current(),
-        std::min(resolve_threads(cfg.num_threads),
-                 static_cast<int>(jobs.size())));
+    workers = multifacto_workers(job_bytes, cfg,
+                                 MemoryTracker::instance().current());
   }
 
   if (workers <= 1) {
-    if (resolve_threads(cfg.num_threads) > 1 && jobs.size() > 1) {
+    if (parallel) {
       // The planner degraded the concurrent jobs to the serial algorithm.
       Metrics::instance().add(Metric::kAdmissionDegraded, 1);
       trace_instant("admission", "multifacto.degraded_serial");
@@ -1454,8 +1453,8 @@ const char* plan_recovery(const SolveError& err, Config& cfg, Degrade& deg,
       }
       // An unpivoted LDL^T hit a zero pivot; the pivoted LU of the same
       // block may still succeed.
-      if (err.site == "hldlt.pivot" && cfg.hmat_symmetric_ldlt) {
-        cfg.hmat_symmetric_ldlt = false;
+      if (err.site == "hldlt.pivot" && deg.hmat_ldlt_ok) {
+        deg.hmat_ldlt_ok = false;
         return "hldlt_to_hlu";
       }
       if (err.site == "mf.front_factor" && deg.sparse_ldlt_ok) {
@@ -1498,9 +1497,7 @@ void run_attempts(const CoupledSystem<T>& system, const Config& config,
                   SweepContext* sweep = nullptr) {
   Config eff = config;
   Degrade deg;
-  const int max_attempts =
-      1 + (config.auto_recover ? std::max(0, config.max_recovery_attempts)
-                               : 0);
+  const int max_attempts = 1 + (config.auto_recover ? kMaxRecoveryAttempts : 0);
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     stats.attempts = attempt;
     stats.factor_precision = eff.factor_precision;
@@ -1568,8 +1565,8 @@ void record_planner_audit(const std::optional<PlannerInputs>& inputs,
 }
 
 /// Per-call scaffolding shared by solve_coupled and factorize_coupled:
-/// peak reset, budget/thread scopes, tracing session, metrics, sampler,
-/// failpoints, total timer and the end-of-run stat snapshot around `body`.
+/// peak reset, budget/thread scopes, metrics, sampler, failpoints, total
+/// timer and the end-of-run stat snapshot around `body`.
 template <class Body>
 void with_solver_session(const Config& config, SolveStats& stats,
                          const char* span_kind, const Body& body) {
@@ -1578,22 +1575,16 @@ void with_solver_session(const Config& config, SolveStats& stats,
   ScopedBudget budget(config.memory_budget);
   ScopedNumThreads threads(config.num_threads);
 
-  // Tracing session: if the caller did not already enable the global
-  // tracer (bench drivers tracing several runs into one file do), a
-  // per-solve Config request turns it on for the duration of this call
-  // and exports to config.trace_path on the way out.
-  auto& tracer = Tracer::instance();
-  const bool was_tracing = tracer.enabled();
-  const bool own_session = config.trace_enabled && !was_tracing;
-  if (own_session) tracer.set_enabled(true);
   // Counters are reported as a delta over this call, not a global reset:
   // a sweep runs many solver sessions in one process and each report must
   // carry its own run's counts (and concurrent sessions must not clobber
   // each other's baselines).
   const Metrics::Values metrics_before = Metrics::instance().values();
+  // Tracing is the caller's: whoever enabled the process Tracer exports
+  // it. While it is on, the session samples the memory timeline under its
+  // spans.
   std::optional<TraceSampler> sampler;
-  if (tracer.enabled() && config.trace_sample_us > 0)
-    sampler.emplace(config.trace_sample_us);
+  if (Tracer::instance().enabled()) sampler.emplace(kTraceSampleUs);
 
   // Failpoints are armed once for the whole call, not per attempt: a
   // "once" injection stays spent across retries, so recovery from an
@@ -1626,10 +1617,6 @@ void with_solver_session(const Config& config, SolveStats& stats,
   stats.counters = Metrics::instance().delta_since(metrics_before);
 
   sampler.reset();  // final memory sample, then stop the sampler thread
-  if (own_session) {
-    if (!config.trace_path.empty()) tracer.write_json(config.trace_path);
-    tracer.set_enabled(false);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1687,8 +1674,8 @@ void check_fingerprint(const SystemFingerprint& stored,
 
 /// The factorization-shaping Config fields stored in the checkpoint: on
 /// load they must match the factors byte for byte, so they come from the
-/// file, not the caller. Runtime-only knobs (threads, budget, tracing,
-/// failpoints, ooc_dir, recovery policy) stay the caller's.
+/// file, not the caller. Runtime-only knobs (threads, budget, failpoints,
+/// ooc_dir, recovery policy) stay the caller's.
 void write_config(serialize::Writer& w, const Config& c) {
   w.write_i32(static_cast<std::int32_t>(c.strategy));
   w.write_i64(c.n_c);
@@ -1703,9 +1690,6 @@ void write_config(serialize::Writer& w, const Config& c) {
   w.write_f64(c.refine_tolerance);
   w.write_i32(static_cast<std::int32_t>(c.factor_precision));
   w.write_u8(c.parallel_fronts ? 1 : 0);
-  w.write_u8(c.hmat_symmetric_ldlt ? 1 : 0);
-  w.write_i64(c.rand_initial_rank);
-  w.write_f64(c.rand_max_rank_ratio);
   w.write_u8(c.out_of_core ? 1 : 0);
 }
 
@@ -1724,9 +1708,6 @@ Config read_config(serialize::Reader& in, const Config& runtime) {
   c.refine_tolerance = in.read_f64();
   c.factor_precision = static_cast<Precision>(in.read_i32());
   c.parallel_fronts = in.read_u8() != 0;
-  c.hmat_symmetric_ldlt = in.read_u8() != 0;
-  c.rand_initial_rank = static_cast<index_t>(in.read_i64());
-  c.rand_max_rank_ratio = in.read_f64();
   c.out_of_core = in.read_u8() != 0;
   return c;
 }

@@ -21,6 +21,11 @@
 //  * kMultiFactorizationCompressed: ditto with the compressed AXPY into an
 //    H-matrix S.
 //
+// The system's symmetry picks how the interior sparse factors and the
+// dense or H-matrix Schur complement are factored: LDL^T on a symmetric
+// system, LU otherwise. An LDL^T pivot breakdown retries with LU through
+// the degrade-and-retry driver.
+//
 // All strategies share the same finishing sequence (paper eq. (7)) and
 // report phase times, tracked peak memory and the relative error against
 // the manufactured solution, which is exactly the data behind the paper's
@@ -122,44 +127,15 @@ struct Config {
   /// identical to the serial walk).
   bool parallel_fronts = true;
 
-  /// Factor the compressed Schur H-matrix with the symmetric H-LDL^T
-  /// (the paper's HMAT mode) instead of H-LU when the system is
-  /// symmetric. Default off: H-LU covers both cases with one code path.
-  bool hmat_symmetric_ldlt = false;
-
-  /// kMultiSolveRandomized: initial sample size and hard cap (fraction of
-  /// n_BEM) of the adaptive randomized range finder.
-  index_t rand_initial_rank = 64;
-  double rand_max_rank_ratio = 0.5;
-
-  // -- observability (see common/trace.h) ----------------------------------
-
-  /// Record a task-level trace of this solve (spans, counters, memory
-  /// timeline). When the process-wide Tracer is already enabled (e.g. a
-  /// bench driver tracing all its runs into one file) this flag is
-  /// redundant: the solve is traced either way and trace_path is ignored
-  /// in favor of the driver's export.
-  bool trace_enabled = false;
-
-  /// When trace_enabled turned tracing on for this solve, export the
-  /// Chrome-trace JSON here at the end (empty = caller exports manually).
-  std::string trace_path;
-
-  /// Period of the background sampler recording memory.current /
-  /// memory.peak and the in-flight panel/job gauges as counter tracks.
-  /// <= 0 disables the sampler. Only active while tracing is enabled.
-  int trace_sample_us = 1000;
-
   // -- resilience (see DESIGN.md §9) ---------------------------------------
 
   /// Degrade-and-retry: when a solve attempt fails with a recoverable
   /// error, apply a recovery action (halve n_c/n_S, double n_b, enable
   /// out-of-core factors, fall back from LDL^T to LU, disable OOC after
-  /// I/O failures) and retry, up to max_recovery_attempts extra attempts.
-  /// Every action taken is recorded in SolveStats::recoveries. Off: the
-  /// first failure is final (the paper's feasibility-probe behavior).
+  /// I/O failures) and retry, up to 8 extra attempts. Every action taken
+  /// is recorded in SolveStats::recoveries. Off: the first failure is
+  /// final (the paper's feasibility-probe behavior).
   bool auto_recover = true;
-  int max_recovery_attempts = 8;
 
   /// Start with out-of-core sparse factors (border panels spilled to
   /// ooc_dir; see sparsedirect::SolverOptions). auto_recover may also
@@ -316,7 +292,7 @@ class FactoredCoupled {
   /// ok() is false: it carries the classified factorization error.
   const SolveStats& stats() const;
   /// Effective configuration after degrade-and-retry (panel sizes, OOC,
-  /// LDL^T fallbacks may differ from the requested Config).
+  /// factor precision may differ from the requested Config).
   const Config& config() const;
 
   index_t nv() const;  ///< interior (FEM) unknowns
@@ -391,7 +367,7 @@ FactoredCoupled<T> factorize_coupled(const fembem::CoupledSystem<T>& system,
 /// restored handle's solve() is bitwise identical to the originating
 /// handle's. `system` must be the same coupled system the checkpoint was
 /// created from (it is borrowed, exactly as by factorize_coupled) and
-/// `config` supplies the runtime-only settings (threads, budget, tracing,
+/// `config` supplies the runtime-only settings (threads, budget,
 /// failpoints, ooc_dir, recovery policy); the factorization-shaping fields
 /// come from the checkpoint. Never throws. On a missing/torn/corrupt/
 /// mismatched checkpoint: with config.auto_recover the checkpoint_fallback

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/trace.h"
 #include "coupled/coupled.h"
 #include "sparsedirect/multifrontal.h"
@@ -33,6 +34,12 @@ struct PlanEntry {
   double time_score = 0;  ///< relative cost estimate (lower = faster)
   bool fits = false;
 };
+
+/// Sample schedule of kMultiSolveRandomized's adaptive range finder: the
+/// first sketch has kRandInitialRank columns, doubled until the posterior
+/// probe meets eps, and never more than kRandMaxRankRatio * n_BEM.
+inline constexpr index_t kRandInitialRank = 64;
+inline constexpr double kRandMaxRankRatio = 0.5;
 
 struct PlannerInputs {
   index_t nv = 0;
@@ -126,6 +133,20 @@ inline int admissible_inflight(std::size_t unit_bytes,
       std::min<std::size_t>(static_cast<std::size_t>(want), units - 1));
 }
 
+/// (bi, bj) jobs multi-factorization keeps in flight at once: one per
+/// worker thread, at most n_b^2, and no more than the budget headroom
+/// above `current_bytes` admits (admissible_inflight). Returns 1 when the
+/// jobs run serially.
+inline int multifacto_workers(std::size_t job_bytes, const Config& cfg,
+                              std::size_t current_bytes) {
+  const offset_t nb = std::max<index_t>(1, cfg.n_b);
+  const int threads = resolve_threads(cfg.num_threads);
+  if (threads <= 1 || nb < 2) return 1;
+  return admissible_inflight(
+      job_bytes, cfg.memory_budget, current_bytes,
+      static_cast<int>(std::min<offset_t>(threads, nb * nb)));
+}
+
 /// Runtime admission for block-parallel multi-factorization: a worker
 /// acquires a slot before allocating its job's transients. A job is
 /// admitted when it is the only active one (serial progress is always
@@ -181,7 +202,8 @@ class AdmissionController {
 /// BLR keeps ~70% of the factor entries at eps=1e-3 on 3D meshes; an
 /// H-compressed Schur keeps ~25-40% of the dense block at this scale; the
 /// multifrontal transient (fronts + contribution stack) adds ~60% of the
-/// factor size; LU (multi-factorization) duplicates factor storage.
+/// factor size; LU (multi-factorization) duplicates factor storage, and
+/// every concurrently running multi-factorization job holds its own.
 inline std::size_t predict_peak(Strategy s, const PlannerInputs& in,
                                 const Config& cfg) {
   const double b = static_cast<double>(in.scalar_bytes);
@@ -213,16 +235,19 @@ inline std::size_t predict_peak(Strategy s, const PlannerInputs& in,
       break;
     case Strategy::kMultiSolveRandomized:
       peak = base + f_blr + S_h +
-             4.0 * ns * std::max<double>(cfg.rand_initial_rank,
-                                         cfg.rand_max_rank_ratio * ns) * b;
+             4.0 * ns *
+                 std::max<double>(kRandInitialRank, kRandMaxRankRatio * ns) *
+                 b;
       break;
     case Strategy::kMultiFactorization:
-      peak = base + S_dense +
-             static_cast<double>(multifacto_job_bytes(in, cfg));
+    case Strategy::kMultiFactorizationCompressed: {
+      const double S = s == Strategy::kMultiFactorization ? S_dense : S_h;
+      const std::size_t job = multifacto_job_bytes(in, cfg);
+      const int workers =
+          multifacto_workers(job, cfg, static_cast<std::size_t>(base + S));
+      peak = base + S + static_cast<double>(workers) * job;
       break;
-    case Strategy::kMultiFactorizationCompressed:
-      peak = base + S_h + static_cast<double>(multifacto_job_bytes(in, cfg));
-      break;
+    }
   }
   return static_cast<std::size_t>(peak);
 }
@@ -246,7 +271,7 @@ inline double predict_time_score(Strategy s, const PlannerInputs& in,
              h_overhead * 0.35 * dense_factor;
     case Strategy::kMultiSolveRandomized:
       return factor_flops +
-             2.0 * f * std::min<double>(ns, cfg.rand_max_rank_ratio * ns) +
+             2.0 * f * std::min<double>(ns, kRandMaxRankRatio * ns) +
              h_overhead * 0.35 * dense_factor;
     case Strategy::kAdvancedCoupling:
       return factor_flops + ns * ns * std::sqrt(f / std::max(1.0, nv)) +

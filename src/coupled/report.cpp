@@ -128,8 +128,6 @@ std::string config_json(const Config& config) {
          str(precision_name(config.factor_precision));
   out += ",\"auto_recover\":" +
          std::string(config.auto_recover ? "true" : "false");
-  out += ",\"max_recovery_attempts\":" +
-         std::to_string(config.max_recovery_attempts);
   out += ",\"out_of_core\":" +
          std::string(config.out_of_core ? "true" : "false");
   if (!config.failpoints.empty())

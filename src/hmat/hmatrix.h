@@ -17,13 +17,13 @@
 //  * add_dense_block() : the paper's "compressed AXPY" -- a dense update
 //                        (a retrieved Schur block) is compressed per leaf
 //                        and accumulated with Rk recompression at eps;
-//  * lu_factorize()/solve(): in-place H-LU (no global pivoting; dense
-//                        diagonal leaves use partially pivoted LU). The
-//                        paper's HMAT runs LDL^T on symmetric systems; we
-//                        substitute H-LU (documented in DESIGN.md), which
-//                        preserves the memory/time behaviour up to a
-//                        constant factor and also covers the unsymmetric
-//                        industrial case.
+//  * ldlt_factorize()/lu_factorize()/solve(): in-place H-LDL^T for
+//                        symmetric data (the paper's HMAT mode; unpivoted)
+//                        and H-LU for the general case (no global
+//                        pivoting; dense diagonal leaves use partially
+//                        pivoted LU). The coupled solver picks H-LDL^T on
+//                        a symmetric system and H-LU otherwise, and falls
+//                        back to H-LU after an H-LDL^T pivot breakdown.
 #pragma once
 
 #include <array>

@@ -291,23 +291,50 @@ TEST(Checkpoint, FlippedPayloadByteIsDetectedAsCorrupt) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, WrongFormatVersionIsRejected) {
+/// The good checkpoint restamped with format `version`. Trailer: [footer
+/// offset u64][tail magic u64]. The version is the u32 at footer_offset +
+/// 8; the footer CRC is re-signed so only the version is "wrong", not the
+/// bytes around it.
+std::vector<char> with_format_version(std::uint32_t version) {
   auto bytes = slurp(good_checkpoint());
-  ASSERT_GT(bytes.size(), 200u);
-  // Trailer: [footer offset u64][tail magic u64]. The version is the u32
-  // at footer_offset + 8; re-sign the footer CRC so only the version is
-  // "wrong", not the bytes around it.
+  if (bytes.size() <= 200) {
+    ADD_FAILURE() << "checkpoint too small: " << bytes.size() << " bytes";
+    return bytes;
+  }
   std::uint64_t footer_offset = 0;
   std::memcpy(&footer_offset, bytes.data() + bytes.size() - 16, 8);
   const std::size_t footer_end = bytes.size() - 16;  // footer crc inclusive
-  const std::uint32_t bad_version = 999;
-  std::memcpy(bytes.data() + footer_offset + 8, &bad_version, 4);
+  std::memcpy(bytes.data() + footer_offset + 8, &version, 4);
   const std::uint32_t crc = serialize::crc32c(
       0, bytes.data() + footer_offset, footer_end - 4 - footer_offset);
   std::memcpy(bytes.data() + footer_end - 4, &crc, 4);
+  return bytes;
+}
+
+TEST(Checkpoint, WrongFormatVersionIsRejected) {
   const std::string path = ckpt_path("version");
-  spit(path, bytes);
+  spit(path, with_format_version(999));
   expect_clean_failure(path, "ckpt.version");
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, PreviousFormatVersionFallsBackToRefactorization) {
+  // A version-1 checkpoint (config section with the retired H-LDL^T and
+  // range-finder fields) is refused at ckpt.version and, with
+  // auto_recover, refactorized from the live system.
+  ASSERT_GT(serialize::kFormatVersion, 1u);
+  const std::string path = ckpt_path("version1");
+  spit(path, with_format_version(1));
+  expect_clean_failure(path, "ckpt.version");
+  Config cfg;  // auto_recover defaults to true
+  cfg.eps = 1e-4;
+  auto h = load_factored(path, real_system(), cfg);
+  ASSERT_TRUE(h.ok()) << h.stats().failure;
+  EXPECT_EQ(h.stats().checkpoint_source, "refactorized");
+  ASSERT_FALSE(h.stats().recoveries.empty());
+  EXPECT_EQ(h.stats().recoveries.front().action, "checkpoint_fallback");
+  EXPECT_NE(h.stats().recoveries.front().detail.find("ckpt.version"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 

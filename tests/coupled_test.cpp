@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/parallel.h"
+#include "common/trace.h"
 #include "coupled/coupled.h"
 
 namespace cs::coupled {
@@ -335,27 +336,63 @@ TEST(Coupled, RandomizedSchurComplexSystem) {
 }
 
 TEST(Coupled, SymmetricHLdltModeMatchesHLu) {
-  Config lu_cfg, ldlt_cfg;
-  lu_cfg.strategy = ldlt_cfg.strategy = Strategy::kMultiSolveCompressed;
-  lu_cfg.eps = ldlt_cfg.eps = 1e-4;
-  ldlt_cfg.hmat_symmetric_ldlt = true;
-  auto s_lu = solve_coupled(real_system(), lu_cfg);
+  // The default run factors the symmetric Schur H-matrix with H-LDL^T; an
+  // injected pivot breakdown makes the driver redo it with H-LU.
+  Config ldlt_cfg;
+  ldlt_cfg.strategy = Strategy::kMultiSolveCompressed;
+  ldlt_cfg.eps = 1e-4;
+  Config lu_cfg = ldlt_cfg;
+  lu_cfg.failpoints = "hldlt.pivot=once";
   auto s_ldlt = solve_coupled(real_system(), ldlt_cfg);
-  ASSERT_TRUE(s_lu.success && s_ldlt.success) << s_ldlt.failure;
+  auto s_lu = solve_coupled(real_system(), lu_cfg);
+  ASSERT_TRUE(s_lu.success && s_ldlt.success) << s_lu.failure;
+  EXPECT_TRUE(s_ldlt.recoveries.empty());
+  ASSERT_EQ(s_lu.recoveries.size(), 1u);
+  EXPECT_EQ(s_lu.recoveries[0].action, "hldlt_to_hlu");
   EXPECT_LT(s_ldlt.relative_error, 1e-3);
   // Both factorizations deliver the same accuracy class.
   EXPECT_LT(s_ldlt.relative_error / std::max(s_lu.relative_error, 1e-16),
             50.0);
+  EXPECT_LT(s_lu.relative_error / std::max(s_ldlt.relative_error, 1e-16),
+            50.0);
+}
+
+/// Chrome-trace JSON of everything the process Tracer recorded while
+/// `run` executed.
+template <class Fn>
+std::string trace_of(const Fn& run) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  run();
+  tracer.set_enabled(false);
+  std::string json = tracer.to_json();
+  tracer.clear();
+  return json;
+}
+
+bool has_span(const std::string& trace, const std::string& name) {
+  return trace.find("\"name\":\"" + name + "\"") != std::string::npos;
 }
 
 TEST(Coupled, LdltToggleIsIgnoredForUnsymmetricSystems) {
+  // The system's symmetry alone picks the H-matrix Schur factorization.
   Config cfg;
   cfg.strategy = Strategy::kMultiSolveCompressed;
   cfg.eps = 1e-4;
-  cfg.hmat_symmetric_ldlt = true;  // must silently fall back to H-LU
-  auto stats = solve_coupled(complex_system(), cfg);
-  ASSERT_TRUE(stats.success) << stats.failure;
-  EXPECT_LT(stats.relative_error, 1e-3);
+  SolveStats complex_stats, real_stats;
+  const std::string complex_trace = trace_of(
+      [&] { complex_stats = solve_coupled(complex_system(), cfg); });
+  ASSERT_TRUE(complex_stats.success) << complex_stats.failure;
+  EXPECT_LT(complex_stats.relative_error, 1e-3);
+  EXPECT_TRUE(has_span(complex_trace, "hlu.factor"));
+  EXPECT_FALSE(has_span(complex_trace, "hldlt.factor"));
+
+  const std::string real_trace =
+      trace_of([&] { real_stats = solve_coupled(real_system(), cfg); });
+  ASSERT_TRUE(real_stats.success) << real_stats.failure;
+  EXPECT_TRUE(has_span(real_trace, "hldlt.factor"));
+  EXPECT_FALSE(has_span(real_trace, "hlu.factor"));
 }
 
 // -- resilience: the degrade-and-retry driver -------------------------------
@@ -396,7 +433,6 @@ TEST(Resilience, HldltBreakdownFallsBackToHlu) {
   Config cfg;
   cfg.strategy = Strategy::kMultiSolveCompressed;
   cfg.eps = 1e-4;
-  cfg.hmat_symmetric_ldlt = true;
   cfg.failpoints = "hldlt.pivot=once";
   auto stats = solve_coupled(real_system(), cfg);
   ASSERT_TRUE(stats.success) << stats.failure;
@@ -460,7 +496,6 @@ TEST(Resilience, PersistentOocReadFailureDisablesOoc) {
 TEST(Resilience, RecoveryDisabledReportsFirstFailure) {
   Config cfg;
   cfg.strategy = Strategy::kMultiSolveCompressed;
-  cfg.hmat_symmetric_ldlt = true;
   cfg.auto_recover = false;
   cfg.failpoints = "hldlt.pivot=once";
   auto stats = solve_coupled(real_system(), cfg);

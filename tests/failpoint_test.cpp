@@ -247,12 +247,8 @@ TEST(ConfigValidation, CatchesEachInvalidField) {
   EXPECT_NE(bad([](Config& c) { c.eps = 0; }), "");
   EXPECT_NE(bad([](Config& c) { c.eta = -1; }), "");
   EXPECT_NE(bad([](Config& c) { c.hmat_leaf = 1; }), "");
-  EXPECT_NE(bad([](Config& c) { c.rand_initial_rank = 0; }), "");
-  EXPECT_NE(bad([](Config& c) { c.rand_max_rank_ratio = 0; }), "");
-  EXPECT_NE(bad([](Config& c) { c.rand_max_rank_ratio = 1.5; }), "");
   EXPECT_NE(bad([](Config& c) { c.refine_iterations = -1; }), "");
   EXPECT_NE(bad([](Config& c) { c.num_threads = -1; }), "");
-  EXPECT_NE(bad([](Config& c) { c.max_recovery_attempts = -1; }), "");
   EXPECT_NE(bad([](Config& c) {
               c.out_of_core = true;
               c.ooc_dir.clear();
@@ -291,9 +287,8 @@ TEST(FailpointSweep, EverySiteEveryStrategyRecoversOrReportsCleanly) {
       cfg.n_S = 64;
       cfg.n_b = 2;
       // Every site reachable somewhere in the sweep: OOC on so the spill
-      // paths run, symmetric H-LDLT on so its pivot guard runs.
+      // paths run; the symmetric system runs the H-LDLT pivot guard.
       cfg.out_of_core = true;
-      cfg.hmat_symmetric_ldlt = true;
       cfg.failpoints = site + "=once";
       const std::size_t before = MemoryTracker::instance().current();
       auto stats = coupled::solve_coupled(sys, cfg);
@@ -328,7 +323,6 @@ TEST(FailpointSweep, AlwaysModeStillNeverCrashes) {
     cfg.n_c = 32;
     cfg.n_S = 64;
     cfg.out_of_core = true;
-    cfg.hmat_symmetric_ldlt = true;
     cfg.failpoints = site + "=always";
     const std::size_t before = MemoryTracker::instance().current();
     auto stats = coupled::solve_coupled(sys, cfg);
@@ -397,7 +391,6 @@ TEST(ReportJson, CarriesErrorAndRecoveryTrail) {
   cfg.strategy = Strategy::kMultiSolveCompressed;
   cfg.n_c = 32;
   cfg.n_S = 64;
-  cfg.hmat_symmetric_ldlt = true;
   cfg.failpoints = "hldlt.pivot=once";
   auto stats = coupled::solve_coupled(sys, cfg);
   ASSERT_TRUE(stats.success) << stats.failure;

@@ -313,10 +313,13 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   cfg.num_threads = 4;
   cfg.n_c = 16;
   cfg.n_S = 32;
-  cfg.trace_enabled = true;
-  cfg.trace_path = ::testing::TempDir() + "/trace_test.solve.trace.json";
-  cfg.trace_sample_us = 500;
+  // Tracing belongs to the caller: enable the process tracer around the
+  // solve and export it afterwards, as the bench drivers do.
+  auto& tracer = Tracer::instance();
+  tracer.set_enabled(true);
   auto stats = coupled::solve_coupled(sys, cfg);
+  EXPECT_TRUE(tracer.enabled());  // the solve leaves the tracer alone
+  tracer.set_enabled(false);
   ASSERT_TRUE(stats.success);
 
   // Stage timings and run counters landed in the stats.
@@ -326,9 +329,12 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   EXPECT_EQ(stats.counters.at("pipeline.panels_produced"),
             stats.counters.at("pipeline.panels_folded"));
 
-  // The per-solve trace session wrote a valid file with the pipeline
-  // spans and the memory timeline.
-  std::ifstream in(cfg.trace_path);
+  // The exported trace is a valid file with the pipeline spans and the
+  // memory timeline the solve session sampled.
+  const std::string trace_path =
+      ::testing::TempDir() + "/trace_test.solve.trace.json";
+  ASSERT_TRUE(tracer.write_json(trace_path));
+  std::ifstream in(trace_path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -344,9 +350,7 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   EXPECT_TRUE(names.count("schur.panel_solve"));
   EXPECT_TRUE(names.count("memory.current"));
   EXPECT_TRUE(names.count("panels.inflight"));
-  // The solve session is scoped: tracing is off again afterwards.
-  EXPECT_FALSE(Tracer::instance().enabled());
-  std::remove(cfg.trace_path.c_str());
+  std::remove(trace_path.c_str());
 
   // The report writer renders the same stats as valid JSON.
   coupled::RunReport report("trace_test");
