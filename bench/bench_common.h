@@ -64,15 +64,7 @@ inline void apply_precision(const CliArgs& args, coupled::Config& cfg) {
 /// Parses a --strategy value (coupled::strategy_name spelling); exits
 /// with a usage error on an unknown name.
 inline coupled::Strategy strategy_by_name(const std::string& name) {
-  using coupled::Strategy;
-  for (Strategy s :
-       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
-        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
-        Strategy::kMultiFactorization,
-        Strategy::kMultiFactorizationCompressed,
-        Strategy::kMultiSolveRandomized}) {
-    if (name == coupled::strategy_name(s)) return s;
-  }
+  if (const auto s = coupled::strategy_from_name(name)) return *s;
   std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
                name.c_str());
   std::exit(2);

@@ -99,16 +99,7 @@ int main(int argc, char** argv) {
               "%d threads ==\n",
               sys.total(), sys.nv(), sys.ns(), threads);
 
-  const Strategy strategies[] = {
-      Strategy::kBaselineCoupling,
-      Strategy::kAdvancedCoupling,
-      Strategy::kMultiSolve,
-      Strategy::kMultiSolveCompressed,
-      Strategy::kMultiFactorization,
-      Strategy::kMultiFactorizationCompressed,
-      Strategy::kMultiSolveRandomized,
-  };
-  for (Strategy s : strategies) {
+  for (Strategy s : coupled::kAllStrategies) {
     Config cfg;
     cfg.strategy = s;
     cfg.num_threads = threads;

@@ -8,6 +8,8 @@
 #include <optional>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -37,6 +39,12 @@ const char* strategy_name(Strategy s) {
       return "multi-solve-randomized";
   }
   return "?";
+}
+
+std::optional<Strategy> strategy_from_name(std::string_view name) {
+  for (Strategy s : kAllStrategies)
+    if (name == strategy_name(s)) return s;
+  return std::nullopt;
 }
 
 const char* precision_name(Precision p) {
@@ -113,16 +121,21 @@ SolveError config_error(const std::string& problem) {
 
 namespace detail {
 
+/// The factors of one precision bank: the interior multifrontal factors
+/// and exactly one Schur factorization, dense or H-matrix.
+template <class ST>
+struct Factors {
+  using Scalar = ST;
+  sparsedirect::MultifrontalSolver<ST> interior;
+  std::variant<dense::DenseSolver<ST>, hmat::HMatrix<ST>> schur;
+};
+
 /// Everything FactoredCoupled keeps alive between solves. The strategy
-/// runners fill this in as they finish: the interior multifrontal factors,
-/// exactly one of the dense / H-matrix Schur factorizations, the surface
-/// cluster tree (whose permutation maps caller <-> tree coordinates) and
-/// the coupling block in tree row order.
+/// runners fill this in as they finish: the factors, the surface cluster
+/// tree (whose permutation maps caller <-> tree coordinates) and the
+/// coupling block in tree row order.
 template <class T>
 struct FactoredImpl {
-  /// Factor-storage scalar of the mixed-precision path.
-  using F = single_of_t<T>;
-
   const fembem::CoupledSystem<T>* sys = nullptr;  ///< borrowed; outlives us
   Config cfg;         ///< effective config after degrade-and-retry
   SolveStats fstats;  ///< factorization-run stats (nrhs == 0)
@@ -134,48 +147,44 @@ struct FactoredImpl {
   std::shared_ptr<const hmat::ClusterTree> tree;
   sparse::Csr<T> A_sv_tree;  ///< coupling rows permuted to tree order
 
-  /// Exactly one precision bank holds the factors: the input-precision
-  /// members when `single` is false, the single-precision (`F`) members
-  /// when the strategy ran with Config::factor_precision == kSingle. The
-  /// solve wrappers below convert each right-hand-side block to factor
-  /// precision around the triangular solves, so solve_batch (and its
+  /// The factors live in exactly one precision bank: input precision T, or
+  /// single_of_t<T> when the strategy ran with Config::factor_precision ==
+  /// kSingle (monostate until a run or a load stores them). The solve
+  /// wrappers below convert each right-hand-side block to factor precision
+  /// around the triangular solves, so solve_batch (and its
   /// double-precision refinement operators) is precision-agnostic.
-  bool single = false;
-  sparsedirect::MultifrontalSolver<T> interior;
-  dense::DenseSolver<T> schur_dense;
-  std::optional<hmat::HMatrix<T>> schur_h;
-  sparsedirect::MultifrontalSolver<F> interior_f;
-  dense::DenseSolver<F> schur_dense_f;
-  std::optional<hmat::HMatrix<F>> schur_h_f;
+  std::variant<std::monostate, Factors<T>, Factors<single_of_t<T>>> factors;
 
-  /// In-place interior solve A_vv X = B through whichever precision bank
-  /// holds the factors.
-  void interior_solve(la::MatrixView<T> B) const {
-    if (single) {
-      la::Matrix<F> W = la::converted<F>(la::ConstMatrixView<T>(B));
-      interior_f.solve(W.view());
-      la::convert_into<T, F>(la::ConstMatrixView<F>(W.view()), B);
-    } else {
-      interior.solve(B);
-    }
+  /// True when the factors are single_of_t<T> (mixed precision).
+  bool mixed() const {
+    return std::holds_alternative<Factors<single_of_t<T>>>(factors);
   }
 
-  /// In-place S X = B in tree coordinates, through whichever Schur
-  /// factorization the strategy kept.
+  /// fn(bank) on the live precision bank; an ok() handle always has one.
+  template <class Fn>
+  void with_bank(const Fn& fn) const {
+    std::visit(
+        [&](const auto& bank) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(bank)>,
+                                       std::monostate>) {
+            throw std::logic_error("coupled: no factors stored");
+          } else {
+            fn(bank);
+          }
+        },
+        factors);
+  }
+
+  /// In-place interior solve A_vv X = B.
+  void interior_solve(la::MatrixView<T> B) const {
+    solve_in_bank(B, [](const auto& bank, auto X) { bank.interior.solve(X); });
+  }
+
+  /// In-place S X = B in tree coordinates.
   void schur_solve(la::MatrixView<T> B) const {
-    if (single) {
-      la::Matrix<F> W = la::converted<F>(la::ConstMatrixView<T>(B));
-      if (schur_h_f) {
-        schur_h_f->solve(W.view());
-      } else {
-        schur_dense_f.solve(W.view());
-      }
-      la::convert_into<T, F>(la::ConstMatrixView<F>(W.view()), B);
-    } else if (schur_h) {
-      schur_h->solve(B);
-    } else {
-      schur_dense.solve(B);
-    }
+    solve_in_bank(B, [](const auto& bank, auto X) {
+      std::visit([&](const auto& s) { s.solve(X); }, bank.schur);
+    });
   }
 
   /// Drop whatever a failed attempt may have left behind. Strategy
@@ -185,13 +194,23 @@ struct FactoredImpl {
     ok = false;
     tree.reset();
     A_sv_tree = sparse::Csr<T>();
-    single = false;
-    interior = sparsedirect::MultifrontalSolver<T>();
-    schur_dense = dense::DenseSolver<T>();
-    schur_h.reset();
-    interior_f = sparsedirect::MultifrontalSolver<F>();
-    schur_dense_f = dense::DenseSolver<F>();
-    schur_h_f.reset();
+    factors = std::monostate{};
+  }
+
+ private:
+  /// op(bank, X) with X = B in the bank's factor precision.
+  template <class Op>
+  void solve_in_bank(la::MatrixView<T> B, const Op& op) const {
+    with_bank([&](const auto& bank) {
+      using ST = typename std::decay_t<decltype(bank)>::Scalar;
+      if constexpr (std::is_same_v<ST, T>) {
+        op(bank, B);
+      } else {
+        la::Matrix<ST> W = la::converted<ST>(la::ConstMatrixView<T>(B));
+        op(bank, W.view());
+        la::convert_into<T, ST>(la::ConstMatrixView<ST>(W.view()), B);
+      }
+    });
   }
 };
 
@@ -208,20 +227,46 @@ using la::MatrixView;
 using sparsedirect::MultifrontalSolver;
 using sparsedirect::SolverOptions;
 
-/// One pipeline/algorithm stage: a dotted entry in SolveStats::stages plus
-/// a trace span of the same name, so the structured report and the visual
-/// timeline always agree on the stage taxonomy.
-class StageScope {
+/// One timed scope: an entry in SolveStats::phases (or ::stages) plus a
+/// trace span of the same name in category "phase" (or "stage"), so the
+/// structured report and the visual timeline always agree on the taxonomy.
+class Timed {
  public:
-  StageScope(PhaseTimes& stages, const char* name)
-      : phase_(stages, name), span_("stage", name) {}
+  static Timed phase(SolveStats& stats, const char* name) {
+    return Timed(stats.phases, "phase", name);
+  }
+  static Timed stage(SolveStats& stats, const char* name) {
+    return Timed(stats.stages, "stage", name);
+  }
 
   TraceSpan& span() { return span_; }
 
  private:
+  Timed(PhaseTimes& sink, const char* category, const char* name)
+      : phase_(sink, name), span_(category, name) {}
+
   ScopedPhase phase_;
   TraceSpan span_;
 };
+
+/// An injected BudgetExceeded for a rows x cols block of `scalar_bytes`
+/// entries when failpoint `site` fires.
+void budget_failpoint(const char* site, index_t rows, index_t cols,
+                      std::size_t scalar_bytes) {
+  if (failpoint(site))
+    throw BudgetExceeded(static_cast<std::size_t>(rows) *
+                             static_cast<std::size_t>(cols) * scalar_bytes,
+                         MemoryTracker::instance().current(),
+                         MemoryTracker::instance().budget());
+}
+
+/// fn(ST{}) with ST the factor-storage scalar `p` selects for input
+/// scalar T: T itself, or single_of_t<T> for a mixed-precision run.
+template <class T, class Fn>
+decltype(auto) with_factor_scalar(Precision p, const Fn& fn) {
+  if (p == Precision::kSingle) return fn(single_of_t<T>{});
+  return fn(T{});
+}
 
 /// Kernel generator re-indexed to surface cluster-tree coordinates.
 template <class T>
@@ -241,6 +286,13 @@ class PermutedGenerator final : public hmat::MatrixGenerator<T> {
   const hmat::MatrixGenerator<T>& base_;
   const std::vector<index_t>& orig_;
 };
+
+HOptions h_options(const Config& cfg) {
+  HOptions ho;
+  ho.eps = cfg.eps;
+  ho.eta = cfg.eta;
+  return ho;
+}
 
 /// Numerical-method fallbacks applied by the degrade-and-retry driver
 /// that have no Config field of their own: once a method breaks down the
@@ -327,40 +379,73 @@ struct Run {
     return base_gen(sys, cast_ss);
   }
 
-  /// Store the finished factors in the matching precision bank of `out`.
-  void store(MultifrontalSolver<ST>&& mf, dense::DenseSolver<ST>&& ds) const {
-    if constexpr (kMixed) {
-      out.single = true;
-      out.interior_f = std::move(mf);
-      out.schur_dense_f = std::move(ds);
-    } else {
-      out.interior = std::move(mf);
-      out.schur_dense = std::move(ds);
+  /// Factor the dense Schur accumulator and store it with the interior
+  /// factors as the ST precision bank of `out`. A zero pivot in the
+  /// blocked LDL^T is recoverable (the driver retries with LU); one in LU
+  /// is final.
+  void finish(MultifrontalSolver<ST>&& mf, Matrix<ST>&& S) const {
+    stats.schur_bytes = S.size_bytes();
+    stats.schur_compression_ratio = 1.0;
+    dense::DenseSolver<ST> ds;
+    const bool ldlt = sys.symmetric && deg.dense_ldlt_ok;
+    try {
+      auto phase = Timed::phase(stats, "dense_factorization");
+      ds.factorize(std::move(S), ldlt);
+    } catch (const la::SingularMatrix& e) {
+      throw ClassifiedError(
+          ldlt ? ErrorCode::kNumericalBreakdown : ErrorCode::kSingular,
+          "dense.factor", e.what());
     }
-  }
-  void store(MultifrontalSolver<ST>&& mf,
-             std::optional<HMatrix<ST>>&& h) const {
-    if constexpr (kMixed) {
-      out.single = true;
-      out.interior_f = std::move(mf);
-      out.schur_h_f = std::move(h);
-    } else {
-      out.interior = std::move(mf);
-      out.schur_h = std::move(h);
-    }
+    store(std::move(mf), std::move(ds));
   }
 
-  SolverOptions sparse_options(bool symmetric, index_t schur_size) const {
-    SolverOptions so;
-    so.symmetric = symmetric && deg.sparse_ldlt_ok;
-    so.schur_size = schur_size;
-    so.compress = cfg.sparse_compression;
-    so.blr_eps = cfg.eps;
-    so.ordering = cfg.ordering;
-    so.parallel_fronts = cfg.parallel_fronts;
-    so.out_of_core = cfg.out_of_core;
-    so.ooc_dir = cfg.ooc_dir;
-    return so;
+  /// Factor the compressed Schur H-matrix — symmetric H-LDL^T (the paper's
+  /// HMAT mode) on a symmetric system, H-LU otherwise — and store it with
+  /// the interior factors. A pivot breakdown in the unpivoted H-LDL^T is
+  /// recoverable (the driver retries with H-LU); one in H-LU is not.
+  void finish(MultifrontalSolver<ST>&& mf, HMatrix<ST>&& S) const {
+    stats.schur_bytes = S.memory_bytes();
+    stats.schur_compression_ratio = S.compression_ratio();
+    const bool ldlt = sys.symmetric && deg.hmat_ldlt_ok;
+    try {
+      auto phase = Timed::phase(stats, "dense_factorization");
+      if (ldlt) {
+        S.ldlt_factorize();
+      } else {
+        S.lu_factorize();
+      }
+    } catch (const la::SingularMatrix& e) {
+      throw ClassifiedError(
+          ldlt ? ErrorCode::kNumericalBreakdown : ErrorCode::kSingular,
+          ldlt ? "hldlt.pivot" : "hlu.pivot", e.what());
+    }
+    stats.schur_bytes = std::max(stats.schur_bytes, S.memory_bytes());
+    store(std::move(mf), std::move(S));
+  }
+
+  /// The bordered matrix [[A_vv, C_c^T], [C_r, 0]] in factor precision,
+  /// where C_r holds coupling rows [r0, r0 + nr) and C_c rows [c0, c0 + nc)
+  /// (tree order), padded square to nv + max(nr, nc). The advanced
+  /// coupling's K borders A_vv with all of A_sv; a multi-factorization W
+  /// with one block row of it on each side.
+  sparse::Csr<ST> bordered(index_t r0, index_t nr, index_t c0,
+                           index_t nc) const {
+    const index_t nv = sys.nv();
+    const index_t n = nv + std::max(nr, nc);
+    sparse::Triplets<ST> trip(n, n);
+    const auto& A = *A_vv_st;
+    for (index_t r = 0; r < nv; ++r)
+      for (offset_t k = A.row_begin(r); k < A.row_end(r); ++k)
+        trip.add(r, A.col(k), A.value(k));
+    const auto& C = *A_sv_st;
+    for (index_t r = 0; r < nr; ++r)
+      for (offset_t k = C.row_begin(r0 + r); k < C.row_end(r0 + r); ++k)
+        trip.add(nv + r, C.col(k), C.value(k));
+    for (index_t q = 0; q < nc; ++q)
+      for (offset_t k = C.row_begin(c0 + q); k < C.row_end(c0 + q); ++k)
+        trip.add(C.col(k), nv + q, C.value(k));
+    MemoryScope scope(MemTag::kSparseMatrix);
+    return sparse::Csr<ST>::from_triplets(trip);
   }
 
   /// Sparse factorization with the failure classified at the site: an
@@ -376,7 +461,15 @@ struct Run {
   void factorize_sparse(MultifrontalSolver<ST>& mf, const sparse::Csr<ST>& A,
                         bool symmetric, index_t schur_size,
                         const char* sweep_key = nullptr) const {
-    const SolverOptions so = sparse_options(symmetric, schur_size);
+    SolverOptions so;
+    so.symmetric = symmetric && deg.sparse_ldlt_ok;
+    so.schur_size = schur_size;
+    so.compress = cfg.sparse_compression;
+    so.blr_eps = cfg.eps;
+    so.ordering = cfg.ordering;
+    so.parallel_fronts = cfg.parallel_fronts;
+    so.out_of_core = cfg.out_of_core;
+    so.ooc_dir = cfg.ooc_dir;
     try {
       bool reused = false;
       if (sweep && sweep_key) {
@@ -401,25 +494,24 @@ struct Run {
     }
   }
 
-  HOptions h_options() const {
-    HOptions ho;
-    ho.eps = cfg.eps;
-    ho.eta = cfg.eta;
-    return ho;
-  }
-
   /// Assemble the compressed Schur base S_0 = A_ss (tree order), reusing
   /// the sweep's recorded block skeleton and per-leaf rank hints when one
   /// is available. The skeleton is scalar-independent, so a
   /// precision-escalated retry keeps reusing it.
   HMatrix<ST> assemble_schur_base() const {
     if (sweep)
-      return HMatrix<ST>::assemble(*tree, *tree, gen_ss(), h_options(),
+      return HMatrix<ST>::assemble(*tree, *tree, gen_ss(), h_options(cfg),
                                    sweep->skeleton("schur"));
-    return HMatrix<ST>::assemble(*tree, *tree, gen_ss(), h_options());
+    return HMatrix<ST>::assemble(*tree, *tree, gen_ss(), h_options(cfg));
   }
 
  private:
+  void store(MultifrontalSolver<ST>&& mf,
+             std::variant<dense::DenseSolver<ST>, HMatrix<ST>>&& schur) const {
+    out.factors.template emplace<detail::Factors<ST>>(
+        detail::Factors<ST>{std::move(mf), std::move(schur)});
+  }
+
   static std::optional<hmat::CastGenerator<ST, T>> make_cast(
       const CoupledSystem<T>& s) {
     if constexpr (kMixed) {
@@ -472,9 +564,8 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   const index_t nv = sys.nv();
   const index_t ns = sys.ns();
   const index_t nrhs = B_v.cols();
-  ScopedPhase phase(stats.phases, "solution");
-  TraceSpan span("phase", "solution");
-  span.arg("nrhs", static_cast<long long>(nrhs));
+  auto phase = Timed::phase(stats, "solution");
+  phase.span().arg("nrhs", static_cast<long long>(nrhs));
   // Everything the solution phase allocates (reduced RHS, residuals,
   // refinement corrections, solve transients) is RHS workspace.
   MemoryScope mem_scope(MemTag::kRhsWorkspace);
@@ -502,7 +593,7 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
     // y_v = A_vv^{-1} B_v.
     Matrix<T> yv(nv, nrhs);
     {
-      StageScope stage(stats.stages, "solution.interior_solve");
+      auto stage = Timed::stage(stats, "solution.interior_solve");
       stage.span().arg("nrhs", static_cast<long long>(nrhs));
       yv.view().copy_from(la::ConstMatrixView<T>(B_v));
       f.interior_solve(yv.view());
@@ -518,7 +609,7 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
 
     // X_s = S^{-1} T.
     {
-      StageScope stage(stats.stages, "solution.schur_solve");
+      auto stage = Timed::stage(stats, "solution.schur_solve");
       stage.span().arg("nrhs", static_cast<long long>(nrhs));
       f.schur_solve(t.view());
     }
@@ -526,7 +617,7 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
     // X_v = A_vv^{-1} (B_v - A_sv^T X_s).
     Matrix<T> rv(nv, nrhs);
     {
-      StageScope stage(stats.stages, "solution.interior_solve");
+      auto stage = Timed::stage(stats, "solution.interior_solve");
       stage.span().arg("nrhs", static_cast<long long>(nrhs));
       rv.view().copy_from(la::ConstMatrixView<T>(B_v));
       f.A_sv_tree.spmm_trans(T{-1}, la::ConstMatrixView<T>(t.view()), T{1},
@@ -559,7 +650,7 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   const double stall_floor = std::max(refine_tol, 1e-9);
   bool converged = false;
   for (int it = 0; it < refine_its; ++it) {
-    StageScope stage(stats.stages, "solution.refine");
+    auto stage = Timed::stage(stats, "solution.refine");
     stage.span()
         .arg("sweep", static_cast<long long>(it))
         .arg("nrhs", static_cast<long long>(nrhs));
@@ -618,13 +709,13 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
     // factors are one retry away), but frequency-lagged factors contract
     // at ~||A(w)^-1 (A(w') - A(w))||, legitimately slow for wider
     // frequency steps — only near-stagnation proves they cannot deliver.
-    const double contraction_bar = strict && !f.single ? 0.9 : 0.5;
+    const double contraction_bar = strict && !f.mixed() ? 0.9 : 0.5;
     bool stalled = !std::isfinite(worst);
-    if ((f.single || strict) && it >= 2 && worst > stall_floor &&
+    if ((f.mixed() || strict) && it >= 2 && worst > stall_floor &&
         worst > contraction_bar * prev_worst)
       stalled = true;
     if (failpoint("refine.stall")) stalled = true;
-    if (stalled && (f.single || strict)) {
+    if (stalled && (f.mixed() || strict)) {
       Metrics::instance().add(Metric::kRefineStalls, 1);
       throw ClassifiedError(
           ErrorCode::kNumericalBreakdown, "refine.stall",
@@ -672,41 +763,6 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   }
 }
 
-/// Factor the compressed Schur H-matrix: symmetric H-LDL^T (the paper's
-/// HMAT mode) on a symmetric system, H-LU otherwise. A pivot breakdown in
-/// the unpivoted H-LDL^T is recoverable (the driver retries with H-LU);
-/// one in H-LU is not.
-template <class T, class ST>
-void factor_schur_h(HMatrix<ST>& S, const Run<T, ST>& run) {
-  const bool ldlt = run.sys.symmetric && run.deg.hmat_ldlt_ok;
-  try {
-    if (ldlt) {
-      S.ldlt_factorize();
-    } else {
-      S.lu_factorize();
-    }
-  } catch (const la::SingularMatrix& e) {
-    throw ClassifiedError(
-        ldlt ? ErrorCode::kNumericalBreakdown : ErrorCode::kSingular,
-        ldlt ? "hldlt.pivot" : "hlu.pivot", e.what());
-  }
-}
-
-/// Factor the dense Schur accumulator, classifying a zero pivot: blocked
-/// LDL^T breakdown falls back to LU on retry; an LU breakdown is final.
-template <class T, class ST>
-void factor_schur_dense(dense::DenseSolver<ST>& ds, Matrix<ST>&& S,
-                        const Run<T, ST>& run) {
-  const bool ldlt = run.sys.symmetric && run.deg.dense_ldlt_ok;
-  try {
-    ds.factorize(std::move(S), ldlt);
-  } catch (const la::SingularMatrix& e) {
-    throw ClassifiedError(
-        ldlt ? ErrorCode::kNumericalBreakdown : ErrorCode::kSingular,
-        "dense.factor", e.what());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Baseline coupling (II-E) and multi-solve (Alg. 1 / Alg. 2)
 // ---------------------------------------------------------------------------
@@ -722,11 +778,23 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
 
   MultifrontalSolver<ST> mf;
   {
-    ScopedPhase phase(stats.phases, "sparse_factorization");
-    TraceSpan span("phase", "sparse_factorization");
+    auto phase = Timed::phase(stats, "sparse_factorization");
     run.factorize_sparse(mf, *run.A_vv_st, true, 0, "vv");
   }
   stats.sparse_factor_bytes = mf.factor_bytes();
+
+  // Y = A_vv^{-1} A_sv(c0 : c0 + nc)^T, retrieved dense (the API
+  // limitation).
+  auto solve_panel = [&](index_t c0, index_t nc) {
+    Matrix<ST> Y(nv, nc);
+    auto stage = Timed::stage(stats, "schur.panel_solve");
+    stage.span()
+        .arg("c0", static_cast<long long>(c0))
+        .arg("ncols", static_cast<long long>(nc));
+    run.A_sv_st->rows_as_dense_transposed(c0, nc, Y.view());
+    mf.solve(Y.view());
+    return Y;
+  };
 
   if (!compressed) {
     // Dense Schur accumulation (MUMPS/SPIDO-style coupling).
@@ -735,52 +803,28 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
       return Matrix<ST>(ns, ns);
     }();
     {
-      ScopedPhase phase(stats.phases, "schur");
-      TraceSpan span("phase", "schur");
+      auto phase = Timed::phase(stats, "schur");
       const index_t step = blocked ? cfg.n_c : ns;
       for (index_t c0 = 0; c0 < ns; c0 += step) {
         const index_t nc = std::min(step, ns - c0);
-        if (failpoint("alloc.panel"))
-          throw BudgetExceeded(
-              static_cast<std::size_t>(nv) * static_cast<std::size_t>(nc) *
-                  sizeof(ST),
-              MemoryTracker::instance().current(),
-              MemoryTracker::instance().budget());
-        // Y_i = A_vv^{-1} A_sv(i)^T, retrieved dense (the API limitation).
+        budget_failpoint("alloc.panel", nv, nc, sizeof(ST));
         MemoryScope scope(MemTag::kSchurPanel);
-        Matrix<ST> Y(nv, nc);
-        {
-          StageScope stage(stats.stages, "schur.panel_solve");
-          stage.span()
-              .arg("c0", static_cast<long long>(c0))
-              .arg("ncols", static_cast<long long>(nc));
-          run.A_sv_st->rows_as_dense_transposed(c0, nc, Y.view());
-          mf.solve(Y.view());
-        }
-        StageScope stage(stats.stages, "schur.assemble");
+        const Matrix<ST> Y = solve_panel(c0, nc);
+        auto stage = Timed::stage(stats, "schur.assemble");
         auto slab = S.block(0, c0, ns, nc);
         fembem::generator_block(run.gen_tree, 0, c0, slab);  // A_ss block
         run.A_sv_st->spmm(ST{-1}, Y.view(), ST{1}, slab);    // - A_sv Y_i
       }
     }
-    stats.schur_bytes = S.size_bytes();
-    stats.schur_compression_ratio = 1.0;
-    dense::DenseSolver<ST> ds;
-    {
-      ScopedPhase phase(stats.phases, "dense_factorization");
-      TraceSpan span("phase", "dense_factorization");
-      factor_schur_dense(ds, std::move(S), run);
-    }
-    run.store(std::move(mf), std::move(ds));
+    run.finish(std::move(mf), std::move(S));
   } else {
     // Compressed Schur (MUMPS/HMAT-style): A_ss assembled directly in
     // compressed form; dense Z panels folded in with compressed AXPYs.
     std::optional<HMatrix<ST>> S_store;
     {
-      ScopedPhase phase(stats.phases, "schur");
-      TraceSpan span("phase", "schur");
+      auto phase = Timed::phase(stats, "schur");
       {
-        StageScope stage(stats.stages, "schur.assemble");
+        auto stage = Timed::stage(stats, "schur.assemble");
         S_store = run.assemble_schur_base();
       }
       HMatrix<ST>& S = *S_store;
@@ -790,25 +834,12 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
         // Scope installed here so the producer thread tags its panels too.
         MemoryScope scope(MemTag::kSchurPanel);
         const index_t np = std::min(panel, ns - c0);
-        if (failpoint("alloc.panel"))
-          throw BudgetExceeded(
-              static_cast<std::size_t>(ns) * static_cast<std::size_t>(np) *
-                  sizeof(ST),
-              MemoryTracker::instance().current(),
-              MemoryTracker::instance().budget());
+        budget_failpoint("alloc.panel", ns, np, sizeof(ST));
         Matrix<ST> Z(ns, np);
         for (index_t cc = 0; cc < np; cc += cfg.n_c) {
           const index_t nc = std::min(cfg.n_c, np - cc);
-          Matrix<ST> Y(nv, nc);
-          {
-            StageScope stage(stats.stages, "schur.panel_solve");
-            stage.span()
-                .arg("c0", static_cast<long long>(c0 + cc))
-                .arg("ncols", static_cast<long long>(nc));
-            run.A_sv_st->rows_as_dense_transposed(c0 + cc, nc, Y.view());
-            mf.solve(Y.view());
-          }
-          StageScope stage(stats.stages, "schur.spmm");
+          const Matrix<ST> Y = solve_panel(c0 + cc, nc);
+          auto stage = Timed::stage(stats, "schur.spmm");
           run.A_sv_st->spmm(ST{1}, Y.view(), ST{0}, Z.block(0, cc, ns, nc));
         }
         Metrics::instance().add(Metric::kPanelsProduced, 1);
@@ -816,7 +847,7 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
       };
 
       auto fold_panel = [&](index_t c0, Matrix<ST>& Z) {
-        StageScope stage(stats.stages, "schur.axpy");
+        auto stage = Timed::stage(stats, "schur.axpy");
         stage.span()
             .arg("c0", static_cast<long long>(c0))
             .arg("ncols", static_cast<long long>(Z.cols()));
@@ -835,10 +866,9 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
       const int inflight = admissible_inflight(
           multisolve_panel_bytes(nv, ns, cfg, sizeof(ST)), cfg.memory_budget,
           MemoryTracker::instance().current(), 3);
-      if (resolve_threads(cfg.num_threads) <= 1 || inflight <= 1 ||
-          ns <= panel) {
-        if (inflight <= 1 && resolve_threads(cfg.num_threads) > 1 &&
-            ns > panel) {
+      const bool overlap = resolve_threads(cfg.num_threads) > 1 && ns > panel;
+      if (!overlap || inflight <= 1) {
+        if (overlap) {
           // The planner degraded the pipeline to the serial algorithm.
           Metrics::instance().add(Metric::kAdmissionDegraded, 1);
           trace_instant("admission", "pipeline.degraded_serial");
@@ -865,7 +895,7 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
               Timer stall;
               bool pushed;
               {
-                StageScope stage(stats.stages, "schur.stall_producer");
+                auto stage = Timed::stage(stats, "schur.stall_producer");
                 pushed = queue.push(std::move(p));
               }
               Metrics::instance().add(Metric::kPipelineProducerStallSec,
@@ -882,7 +912,7 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
             Timer stall;
             std::optional<Panel> p;
             {
-              StageScope stage(stats.stages, "schur.stall_consumer");
+              auto stage = Timed::stage(stats, "schur.stall_consumer");
               p = queue.pop();
             }
             Metrics::instance().add(Metric::kPipelineConsumerStallSec,
@@ -900,16 +930,7 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
         if (producer_error) std::rethrow_exception(producer_error);
       }
     }
-    HMatrix<ST>& S = *S_store;
-    stats.schur_bytes = S.memory_bytes();
-    stats.schur_compression_ratio = S.compression_ratio();
-    {
-      ScopedPhase phase(stats.phases, "dense_factorization");
-      TraceSpan span("phase", "dense_factorization");
-      factor_schur_h(S, run);
-    }
-    stats.schur_bytes = std::max(stats.schur_bytes, S.memory_bytes());
-    run.store(std::move(mf), std::move(S_store));
+    run.finish(std::move(mf), std::move(*S_store));
   }
 }
 
@@ -931,8 +952,7 @@ void run_multisolve_randomized(Run<T, ST>& run) {
 
   MultifrontalSolver<ST> mf;
   {
-    ScopedPhase phase(stats.phases, "sparse_factorization");
-    TraceSpan span("phase", "sparse_factorization");
+    auto phase = Timed::phase(stats, "sparse_factorization");
     run.factorize_sparse(mf, *run.A_vv_st, true, 0, "vv");
   }
   stats.sparse_factor_bytes = mf.factor_bytes();
@@ -948,10 +968,9 @@ void run_multisolve_randomized(Run<T, ST>& run) {
 
   std::optional<HMatrix<ST>> S_store;
   {
-    ScopedPhase phase(stats.phases, "schur");
-    TraceSpan span("phase", "schur");
+    auto phase = Timed::phase(stats, "schur");
     {
-      StageScope stage(stats.stages, "schur.assemble");
+      auto stage = Timed::stage(stats, "schur.assemble");
       S_store = run.assemble_schur_base();
     }
     HMatrix<ST>& S = *S_store;
@@ -1032,15 +1051,7 @@ void run_multisolve_randomized(Run<T, ST>& run) {
     // S -= M (compressed, directly from factors).
     S.add_low_rank(ST{-1}, correction);
   }
-  HMatrix<ST>& S = *S_store;
-  stats.schur_bytes = S.memory_bytes();
-  stats.schur_compression_ratio = S.compression_ratio();
-  {
-    ScopedPhase phase(stats.phases, "dense_factorization");
-    TraceSpan span("phase", "dense_factorization");
-    factor_schur_h(S, run);
-  }
-  run.store(std::move(mf), std::move(S_store));
+  run.finish(std::move(mf), std::move(*S_store));
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,37 +1062,21 @@ template <class T, class ST>
 void run_advanced(Run<T, ST>& run) {
   const auto& cfg = run.cfg;
   auto& stats = run.stats;
-  const index_t nv = run.sys.nv();
   const index_t ns = run.sys.ns();
 
   // K = [[A_vv, A_sv^T],[A_sv, 0]], symmetric, Schur on the trailing ns.
   MultifrontalSolver<ST> mf;
   {
-    ScopedPhase phase(stats.phases, "sparse_factorization");
-    TraceSpan span("phase", "sparse_factorization");
-    sparse::Triplets<ST> trip(nv + ns, nv + ns);
-    const auto& A = *run.A_vv_st;
-    for (index_t r = 0; r < nv; ++r)
-      for (offset_t k = A.row_begin(r); k < A.row_end(r); ++k)
-        trip.add(r, A.col(k), A.value(k));
-    const auto& C = *run.A_sv_st;
-    for (index_t r = 0; r < ns; ++r)
-      for (offset_t k = C.row_begin(r); k < C.row_end(r); ++k) {
-        trip.add(nv + r, C.col(k), C.value(k));
-        trip.add(C.col(k), nv + r, C.value(k));
-      }
-    MemoryScope scope(MemTag::kSparseMatrix);
-    auto K = sparse::Csr<ST>::from_triplets(trip);
-    run.factorize_sparse(mf, K, true, ns, "K");
+    auto phase = Timed::phase(stats, "sparse_factorization");
+    run.factorize_sparse(mf, run.bordered(0, ns, 0, ns), true, ns, "K");
   }
   stats.sparse_factor_bytes = mf.factor_bytes();
 
   // The Schur complement arrives as one non-compressed dense matrix.
   Matrix<ST> S = mf.take_schur();  // = -A_sv A_vv^{-1} A_sv^T (tree order)
   {
-    ScopedPhase phase(stats.phases, "schur");
-    TraceSpan span("phase", "schur");
-    StageScope stage(stats.stages, "schur.assemble");
+    auto phase = Timed::phase(stats, "schur");
+    auto stage = Timed::stage(stats, "schur.assemble");
     // S += A_ss, materialized in column slabs through generator_block
     // (amortizes kernel evaluation the same way the baseline branch does).
     const index_t slab = std::max<index_t>(1, cfg.n_c);
@@ -1094,17 +1089,10 @@ void run_advanced(Run<T, ST>& run) {
       la::axpy(ST{1}, Gb, S.block(0, c0, ns, nc));
     }
   }
-  stats.schur_bytes = S.size_bytes();
-  dense::DenseSolver<ST> ds;
-  {
-    ScopedPhase phase(stats.phases, "dense_factorization");
-    TraceSpan span("phase", "dense_factorization");
-    factor_schur_dense(ds, std::move(S), run);
-  }
   // The factorization of K = [[A_vv, A_sv^T],[A_sv, 0]] with a Schur
   // feature on the trailing ns also serves as the interior solver: a solve
   // with an nv-row block runs through the A_vv subsystem only.
-  run.store(std::move(mf), std::move(ds));
+  run.finish(std::move(mf), std::move(S));
 }
 
 // ---------------------------------------------------------------------------
@@ -1115,78 +1103,56 @@ template <class T, class ST>
 void run_multifacto(Run<T, ST>& run, bool compressed) {
   const auto& cfg = run.cfg;
   auto& stats = run.stats;
-  const index_t nv = run.sys.nv();
   const index_t ns = run.sys.ns();
   const index_t nb = std::max<index_t>(1, cfg.n_b);
-
-  // Balanced block boundaries over the surface dofs.
-  std::vector<index_t> start(static_cast<std::size_t>(nb) + 1);
-  for (index_t k = 0; k <= nb; ++k)
-    start[static_cast<std::size_t>(k)] =
-        static_cast<index_t>(static_cast<offset_t>(k) * ns / nb);
 
   // Schur accumulator: dense, or the compressed A_ss H-matrix.
   Matrix<ST> S_dense;
   std::optional<HMatrix<ST>> S_h;
   if (compressed) {
-    ScopedPhase phase(stats.phases, "schur");
-    StageScope stage(stats.stages, "schur.assemble");
+    auto phase = Timed::phase(stats, "schur");
+    auto stage = Timed::stage(stats, "schur.assemble");
     S_h = run.assemble_schur_base();
   } else {
     MemoryScope scope(MemTag::kSchurDense);
     S_dense = Matrix<ST>(ns, ns);
   }
 
+  // One job per (bi, bj) block of S over balanced surface-dof boundaries:
+  // rows [r0, r0 + nr) x columns [c0, c0 + nc).
   struct Job {
-    index_t bi, bj;
+    index_t bi, bj, r0, nr, c0, nc;
+  };
+  auto bound = [&](index_t k) {
+    return static_cast<index_t>(static_cast<offset_t>(k) * ns / nb);
   };
   std::vector<Job> jobs;
   for (index_t bi = 0; bi < nb; ++bi)
-    for (index_t bj = 0; bj < nb; ++bj) jobs.push_back(Job{bi, bj});
+    for (index_t bj = 0; bj < nb; ++bj)
+      jobs.push_back(Job{bi, bj, bound(bi), bound(bi + 1) - bound(bi),
+                         bound(bj), bound(bj + 1) - bound(bj)});
 
-  // One (bi, bj) W-factorization; `mf` receives the factors.
+  // One W-factorization; `mf` receives the factors.
   auto factor_job = [&](const Job& job, MultifrontalSolver<ST>& mf) {
-    const index_t r0 = start[static_cast<std::size_t>(job.bi)];
-    const index_t nri = start[static_cast<std::size_t>(job.bi) + 1] - r0;
-    const index_t c0 = start[static_cast<std::size_t>(job.bj)];
-    const index_t ncj = start[static_cast<std::size_t>(job.bj) + 1] - c0;
     // W = [[A_vv, A_sv(j)^T],[A_sv(i), 0]]; unsymmetric (duplicated
     // storage + LU), padded square when the edge blocks differ in size.
-    const index_t p = std::max(nri, ncj);
-    ScopedPhase phase(stats.phases, "sparse_factorization");
-    StageScope stage(stats.stages, "multifacto.factor");
+    const index_t p = std::max(job.nr, job.nc);
+    auto phase = Timed::phase(stats, "sparse_factorization");
+    auto stage = Timed::stage(stats, "multifacto.factor");
     stage.span()
         .arg("bi", static_cast<long long>(job.bi))
         .arg("bj", static_cast<long long>(job.bj))
         .arg("schur_size", static_cast<long long>(p));
     Metrics::instance().add(Metric::kMultifactoJobs, 1);
-    if (failpoint("mf.job"))
-      throw BudgetExceeded(
-          static_cast<std::size_t>(p) * static_cast<std::size_t>(p) *
-              sizeof(ST),
-          MemoryTracker::instance().current(),
-          MemoryTracker::instance().budget());
-    sparse::Triplets<ST> trip(nv + p, nv + p);
-    const auto& A = *run.A_vv_st;
-    for (index_t r = 0; r < nv; ++r)
-      for (offset_t k = A.row_begin(r); k < A.row_end(r); ++k)
-        trip.add(r, A.col(k), A.value(k));
-    const auto& C = *run.A_sv_st;
-    for (index_t r = 0; r < nri; ++r)
-      for (offset_t k = C.row_begin(r0 + r); k < C.row_end(r0 + r); ++k)
-        trip.add(nv + r, C.col(k), C.value(k));
-    for (index_t q = 0; q < ncj; ++q)
-      for (offset_t k = C.row_begin(c0 + q); k < C.row_end(c0 + q); ++k)
-        trip.add(C.col(k), nv + q, C.value(k));
-    MemoryScope scope(MemTag::kSparseMatrix);
-    auto W = sparse::Csr<ST>::from_triplets(trip);
+    budget_failpoint("mf.job", p, p, sizeof(ST));
     // Superfluous re-factorization of A_vv on every call: the API
     // limitation that gives the algorithm its name. In a sweep each
     // (bi, bj) block at least reuses its own symbolic analysis across
     // frequencies (a changed n_b reshapes W and fails validation — cold).
     const std::string wkey =
         "W:" + std::to_string(job.bi) + ":" + std::to_string(job.bj);
-    run.factorize_sparse(mf, W, false, p, wkey.c_str());
+    run.factorize_sparse(mf, run.bordered(job.r0, job.nr, job.c0, job.nc),
+                         false, p, wkey.c_str());
   };
 
   MultifrontalSolver<ST> mf_last;  // the last diagonal factorization serves
@@ -1196,27 +1162,23 @@ void run_multifacto(Run<T, ST>& run, bool compressed) {
   // strictly in the serial (bi, bj) order, so the recompression sequence
   // of the compressed accumulator -- and hence the result -- is identical
   // to a serial run.
-  auto commit_job = [&](const Job& job, Matrix<ST>& X,
+  auto commit_job = [&](const Job& job, const Matrix<ST>& X,
                         MultifrontalSolver<ST>& mf) {
-    const index_t r0 = start[static_cast<std::size_t>(job.bi)];
-    const index_t nri = start[static_cast<std::size_t>(job.bi) + 1] - r0;
-    const index_t c0 = start[static_cast<std::size_t>(job.bj)];
-    const index_t ncj = start[static_cast<std::size_t>(job.bj) + 1] - c0;
     {
-      ScopedPhase phase(stats.phases, "schur");
-      StageScope stage(stats.stages, "multifacto.commit");
+      auto phase = Timed::phase(stats, "schur");
+      auto stage = Timed::stage(stats, "multifacto.commit");
       stage.span()
           .arg("bi", static_cast<long long>(job.bi))
           .arg("bj", static_cast<long long>(job.bj));
+      const auto Xb = X.block(0, 0, job.nr, job.nc);
       if (compressed) {
-        S_h->add_dense_block(ST{1}, X.block(0, 0, nri, ncj), r0, c0);
+        S_h->add_dense_block(ST{1}, Xb, job.r0, job.c0);
       } else {
-        auto slab = S_dense.block(r0, c0, nri, ncj);
-        fembem::generator_block(run.gen_tree, r0, c0, slab);
-        la::axpy(ST{1}, X.block(0, 0, nri, ncj), slab);
+        auto slab = S_dense.block(job.r0, job.c0, job.nr, job.nc);
+        fembem::generator_block(run.gen_tree, job.r0, job.c0, slab);
+        la::axpy(ST{1}, Xb, slab);
       }
     }
-    X.clear();
     if (job.bi == nb - 1 && job.bj == nb - 1) {
       mf_last = std::move(mf);
       stats.sparse_factor_bytes = mf_last.factor_bytes();
@@ -1228,49 +1190,53 @@ void run_multifacto(Run<T, ST>& run, bool compressed) {
   // footprint before it allocates. Near the budget the worker count (and
   // the runtime admission) degrade to one job in flight -- the serial
   // algorithm -- instead of throwing. predict_peak counts the same workers.
-  const bool parallel = resolve_threads(cfg.num_threads) > 1 && nb > 1;
+  // One worker runs the jobs one after another in the same commit order.
   int workers = 1;
   std::size_t job_bytes = 0;
-  if (parallel) {
+  if (resolve_threads(cfg.num_threads) > 1 && nb > 1) {
     PlannerInputs in = planner_inputs(run.sys, cfg);
     in.scalar_bytes = sizeof(ST);  // jobs allocate in factor precision
     job_bytes = multifacto_job_bytes(in, cfg);
     workers = multifacto_workers(job_bytes, cfg,
                                  MemoryTracker::instance().current());
-  }
-
-  if (workers <= 1) {
-    if (parallel) {
+    if (workers <= 1) {
       // The planner degraded the concurrent jobs to the serial algorithm.
       Metrics::instance().add(Metric::kAdmissionDegraded, 1);
       trace_instant("admission", "multifacto.degraded_serial");
     }
-    for (const Job& job : jobs) {
-      MultifrontalSolver<ST> mf;
-      factor_job(job, mf);
-      Matrix<ST> X = mf.take_schur();  // p x p
-      commit_job(job, X, mf);
-    }
-  } else {
-    AdmissionController admission(job_bytes, cfg.memory_budget);
-    std::exception_ptr error = nullptr;
-    std::atomic<bool> failed{false};
-    const auto n_jobs = static_cast<std::ptrdiff_t>(jobs.size());
+  }
+
+  AdmissionController admission(job_bytes, cfg.memory_budget);
+  std::exception_ptr error = nullptr;
+  std::atomic<bool> failed{false};
+  const auto n_jobs = static_cast<std::ptrdiff_t>(jobs.size());
 #pragma omp parallel for ordered schedule(dynamic, 1) num_threads(workers)
-    for (std::ptrdiff_t k = 0; k < n_jobs; ++k) {
-      bool admitted = false;
+  for (std::ptrdiff_t k = 0; k < n_jobs; ++k) {
+    bool admitted = false;
+    {
+      MultifrontalSolver<ST> mf;
+      Matrix<ST> X;
+      bool ok = false;
+      if (!failed.load(std::memory_order_relaxed)) {
+        admission.acquire();
+        admitted = true;
+        trace_gauge_add("jobs.inflight", 1);
+        try {
+          factor_job(jobs[static_cast<std::size_t>(k)], mf);
+          X = mf.take_schur();
+          ok = true;
+        } catch (...) {
+#pragma omp critical(cs_multifacto_error)
+          {
+            if (!failed.exchange(true)) error = std::current_exception();
+          }
+        }
+      }
+#pragma omp ordered
       {
-        MultifrontalSolver<ST> mf;
-        Matrix<ST> X;
-        bool ok = false;
-        if (!failed.load(std::memory_order_relaxed)) {
-          admission.acquire();
-          admitted = true;
-          trace_gauge_add("jobs.inflight", 1);
+        if (ok && !failed.load(std::memory_order_relaxed)) {
           try {
-            factor_job(jobs[static_cast<std::size_t>(k)], mf);
-            X = mf.take_schur();
-            ok = true;
+            commit_job(jobs[static_cast<std::size_t>(k)], X, mf);
           } catch (...) {
 #pragma omp critical(cs_multifacto_error)
             {
@@ -1278,98 +1244,60 @@ void run_multifacto(Run<T, ST>& run, bool compressed) {
             }
           }
         }
-#pragma omp ordered
-        {
-          if (ok && !failed.load(std::memory_order_relaxed)) {
-            try {
-              commit_job(jobs[static_cast<std::size_t>(k)], X, mf);
-            } catch (...) {
-#pragma omp critical(cs_multifacto_error)
-              {
-                if (!failed.exchange(true)) error = std::current_exception();
-              }
-            }
-          }
-        }
-      }  // job transients (factors, X) released before the slot
-      if (admitted) {
-        trace_gauge_add("jobs.inflight", -1);
-        admission.release();
       }
+    }  // job transients (factors, X) released before the slot
+    if (admitted) {
+      trace_gauge_add("jobs.inflight", -1);
+      admission.release();
     }
-    if (error) std::rethrow_exception(error);
   }
+  if (error) std::rethrow_exception(error);
 
   if (compressed) {
-    stats.schur_bytes = S_h->memory_bytes();
-    stats.schur_compression_ratio = S_h->compression_ratio();
-    {
-      ScopedPhase phase(stats.phases, "dense_factorization");
-      TraceSpan span("phase", "dense_factorization");
-      factor_schur_h(*S_h, run);
-    }
-    stats.schur_bytes = std::max(stats.schur_bytes, S_h->memory_bytes());
-    run.store(std::move(mf_last), std::move(S_h));
+    run.finish(std::move(mf_last), std::move(*S_h));
   } else {
-    stats.schur_bytes = S_dense.size_bytes();
-    dense::DenseSolver<ST> ds;
-    {
-      ScopedPhase phase(stats.phases, "dense_factorization");
-      TraceSpan span("phase", "dense_factorization");
-      factor_schur_dense(ds, std::move(S_dense), run);
-    }
-    run.store(std::move(mf_last), std::move(ds));
+    run.finish(std::move(mf_last), std::move(S_dense));
   }
 }
 
 /// One factorization attempt with the effective (possibly degraded)
-/// config, working in factor-storage scalar ST. On success `out` holds the
-/// complete factorization.
-template <class T, class ST>
-void run_strategy_in(const CoupledSystem<T>& system, const Config& cfg,
-                     const Degrade& deg, SolveStats& stats,
-                     detail::FactoredImpl<T>& out, SweepContext* sweep) {
-  Run<T, ST> run(system, cfg, deg, stats, out, sweep);
-  switch (cfg.strategy) {
-    case Strategy::kBaselineCoupling:
-      run_multisolve(run, /*blocked=*/false, /*compressed=*/false);
-      break;
-    case Strategy::kMultiSolve:
-      run_multisolve(run, /*blocked=*/true, /*compressed=*/false);
-      break;
-    case Strategy::kMultiSolveCompressed:
-      run_multisolve(run, /*blocked=*/true, /*compressed=*/true);
-      break;
-    case Strategy::kAdvancedCoupling:
-      run_advanced(run);
-      break;
-    case Strategy::kMultiFactorization:
-      run_multifacto(run, /*compressed=*/false);
-      break;
-    case Strategy::kMultiFactorizationCompressed:
-      run_multifacto(run, /*compressed=*/true);
-      break;
-    case Strategy::kMultiSolveRandomized:
-      run_multisolve_randomized(run);
-      break;
-  }
-  // The runner stored its solvers; move the shared pieces in with them.
-  out.tree = std::move(run.tree);
-  out.A_sv_tree = std::move(run.A_sv_tree);
-}
-
-/// Precision dispatch: a single-precision run instantiates the whole
-/// strategy stack (multifrontal, H-matrix, dense solver, packed kernels)
-/// at single_of_t<T> while the solution/refinement phase stays in T.
+/// config. A single-precision run instantiates the whole strategy stack
+/// (multifrontal, H-matrix, dense solver, packed kernels) at
+/// single_of_t<T> while the solution/refinement phase stays in T. On
+/// success `out` holds the complete factorization.
 template <class T>
 void run_strategy(const CoupledSystem<T>& system, const Config& cfg,
                   const Degrade& deg, SolveStats& stats,
                   detail::FactoredImpl<T>& out, SweepContext* sweep) {
-  if (cfg.factor_precision == Precision::kSingle) {
-    run_strategy_in<T, single_of_t<T>>(system, cfg, deg, stats, out, sweep);
-  } else {
-    run_strategy_in<T, T>(system, cfg, deg, stats, out, sweep);
-  }
+  with_factor_scalar<T>(cfg.factor_precision, [&](auto scalar) {
+    Run<T, decltype(scalar)> run(system, cfg, deg, stats, out, sweep);
+    switch (cfg.strategy) {
+      case Strategy::kBaselineCoupling:
+        run_multisolve(run, /*blocked=*/false, /*compressed=*/false);
+        break;
+      case Strategy::kMultiSolve:
+        run_multisolve(run, /*blocked=*/true, /*compressed=*/false);
+        break;
+      case Strategy::kMultiSolveCompressed:
+        run_multisolve(run, /*blocked=*/true, /*compressed=*/true);
+        break;
+      case Strategy::kAdvancedCoupling:
+        run_advanced(run);
+        break;
+      case Strategy::kMultiFactorization:
+        run_multifacto(run, /*compressed=*/false);
+        break;
+      case Strategy::kMultiFactorizationCompressed:
+        run_multifacto(run, /*compressed=*/true);
+        break;
+      case Strategy::kMultiSolveRandomized:
+        run_multisolve_randomized(run);
+        break;
+    }
+    // The runner stored its solvers; move the shared pieces in with them.
+    out.tree = std::move(run.tree);
+    out.A_sv_tree = std::move(run.A_sv_tree);
+  });
 }
 
 /// Map the in-flight exception onto the structured taxonomy. Call from a
@@ -1411,6 +1339,64 @@ std::string failure_text(const SolveError& err) {
       break;
   }
   return err.detail;
+}
+
+/// Record a classified failure in `stats`.
+void record_failure(SolveStats& stats, SolveError err) {
+  stats.error = std::move(err);
+  stats.failure = failure_text(stats.error);
+}
+
+/// record_failure for the in-flight exception, marked on the timeline.
+/// Call from a catch block only.
+void record_current_failure(SolveStats& stats) {
+  record_failure(stats, classify_current_exception());
+  trace_instant("error", error_code_name(stats.error.code));
+}
+
+/// validate_config, recording a complaint as the run's failure.
+bool config_accepted(const Config& config, SolveStats& stats) {
+  const std::string problem = validate_config(config);
+  if (!problem.empty()) record_failure(stats, config_error(problem));
+  return problem.empty();
+}
+
+/// A handle-level usage error (unfactored handle, mismatched shapes),
+/// reported without running anything.
+SolveStats rejected(SolveStats stats, const char* detail) {
+  record_failure(stats, SolveError{ErrorCode::kInternal, "handle", detail});
+  return stats;
+}
+
+template <class T>
+void set_dimensions(SolveStats& stats, const CoupledSystem<T>& system) {
+  stats.n_fem = system.nv();
+  stats.n_bem = system.ns();
+  stats.n_total = system.total();
+}
+
+/// The per-call scaffolding FactoredCoupled::solve and ::solve_lagged
+/// share around `body`: a timer, the metrics delta and the failure
+/// classification. Deliberately no budget/thread scopes and no retry
+/// ladder: a solve must be safe to call concurrently from several threads
+/// against one factorization, so it runs entirely in the caller's context
+/// and reports any failure without touching global state. The counters
+/// are a read-only delta of the process-wide Metrics (concurrent solves
+/// may bleed into each other's deltas; each count still happened during
+/// this window).
+template <class Body>
+SolveStats run_solve(SolveStats stats, const Body& body) {
+  const Metrics::Values metrics_before = Metrics::instance().values();
+  Timer total;
+  try {
+    body(stats);
+    stats.success = true;
+  } catch (...) {
+    record_current_failure(stats);
+  }
+  stats.total_seconds = total.seconds();
+  stats.counters = Metrics::instance().delta_since(metrics_before);
+  return stats;
 }
 
 /// Pick one degradation for the failed attempt, mutating the effective
@@ -1513,9 +1499,7 @@ void run_attempts(const CoupledSystem<T>& system, const Config& config,
       stats.factor_bytes = stats.sparse_factor_bytes + stats.schur_bytes;
       break;
     } catch (...) {
-      stats.error = classify_current_exception();
-      stats.failure = failure_text(stats.error);
-      trace_instant("error", error_code_name(stats.error.code));
+      record_current_failure(stats);
     }
     if (attempt == max_attempts) break;
     const char* action = plan_recovery(stats.error, eff, deg, system.ns());
@@ -1558,9 +1542,8 @@ void record_planner_audit(const std::optional<PlannerInputs>& inputs,
                           const Config& eff, SolveStats& stats) {
   if (!inputs) return;
   PlannerInputs in = *inputs;
-  in.scalar_bytes = eff.factor_precision == Precision::kSingle
-                        ? sizeof(single_of_t<T>)
-                        : sizeof(T);
+  in.scalar_bytes = with_factor_scalar<T>(
+      eff.factor_precision, [](auto scalar) { return sizeof(scalar); });
   stats.planner_predicted_bytes = predict_peak(eff.strategy, in, eff);
 }
 
@@ -1693,22 +1676,60 @@ void write_config(serialize::Writer& w, const Config& c) {
   w.write_u8(c.out_of_core ? 1 : 0);
 }
 
+/// A stored enumerator, range-checked against the enumeration's size.
+template <class E>
+E read_enum(serialize::Reader& in, std::size_t count) {
+  const std::int32_t v = in.read_i32();
+  if (v < 0 || static_cast<std::size_t>(v) >= count)
+    throw ClassifiedError(ErrorCode::kIo, "ckpt.corrupt",
+                          "checkpoint config holds an out-of-range "
+                          "enumerator (" + std::to_string(v) + ")");
+  return static_cast<E>(v);
+}
+
+/// A stored blocking parameter, checked to fit index_t before narrowing.
+index_t read_index(serialize::Reader& in) {
+  const std::int64_t v = in.read_i64();
+  if (v < std::numeric_limits<index_t>::min() ||
+      v > std::numeric_limits<index_t>::max())
+    throw ClassifiedError(ErrorCode::kIo, "ckpt.corrupt",
+                          "checkpoint config holds an out-of-range size (" +
+                              std::to_string(v) + ")");
+  return static_cast<index_t>(v);
+}
+
+/// Reads what write_config wrote and validates it like a caller's config,
+/// so a well-formed file can never hand a loaded handle a config that
+/// factorize_coupled would refuse.
 Config read_config(serialize::Reader& in, const Config& runtime) {
+  using ordering::Method;
   Config c = runtime;
-  c.strategy = static_cast<Strategy>(in.read_i32());
-  c.n_c = static_cast<index_t>(in.read_i64());
-  c.n_S = static_cast<index_t>(in.read_i64());
-  c.n_b = static_cast<index_t>(in.read_i64());
+  c.strategy = read_enum<Strategy>(in, kAllStrategies.size());
+  c.n_c = read_index(in);
+  c.n_S = read_index(in);
+  c.n_b = read_index(in);
   c.sparse_compression = in.read_u8() != 0;
   c.eps = in.read_f64();
   c.eta = in.read_f64();
-  c.hmat_leaf = static_cast<index_t>(in.read_i64());
-  c.ordering = static_cast<decltype(c.ordering)>(in.read_i32());
+  c.hmat_leaf = read_index(in);
+  c.ordering = read_enum<Method>(
+      in, static_cast<std::size_t>(Method::kNestedDissection) + 1);
   c.refine_iterations = in.read_i32();
   c.refine_tolerance = in.read_f64();
-  c.factor_precision = static_cast<Precision>(in.read_i32());
+  c.factor_precision = read_enum<Precision>(
+      in, static_cast<std::size_t>(Precision::kSingle) + 1);
   c.parallel_fronts = in.read_u8() != 0;
   c.out_of_core = in.read_u8() != 0;
+  const std::string problem = validate_config(c);
+  if (!problem.empty()) {
+    // A spill-directory complaint is about the caller's ooc_dir, not the
+    // file: keep its ooc.dir classification.
+    SolveError err = config_error(problem);
+    if (err.code == ErrorCode::kInternal)
+      err = SolveError{ErrorCode::kIo, "ckpt.corrupt",
+                       "checkpoint holds an invalid config: " + problem};
+    throw ClassifiedError(err.code, err.site, err.detail);
+  }
   return c;
 }
 
@@ -1781,7 +1802,7 @@ void read_coupling(serialize::Reader& in, const CoupledSystem<T>& sys,
   f.A_sv_tree = sparse::Csr<T>::from_triplets(trip);
 }
 
-/// Serialize every factor bank of a successful factorization; throws
+/// Serialize the factors of a successful factorization; throws
 /// IoError / ClassifiedError on failure. Section order is load order.
 template <class T>
 std::size_t save_factored_impl(const detail::FactoredImpl<T>& f,
@@ -1790,7 +1811,7 @@ std::size_t save_factored_impl(const detail::FactoredImpl<T>& f,
   serialize::Writer w(path);
   w.begin_section("meta");
   write_fingerprint(w, f.sys->fingerprint());
-  w.write_u8(f.single ? 1 : 0);
+  w.write_u8(f.mixed() ? 1 : 0);
   w.write_u64(f.fstats.sparse_factor_bytes);
   w.write_u64(f.fstats.schur_bytes);
   w.write_f64(f.fstats.schur_compression_ratio);
@@ -1802,33 +1823,16 @@ std::size_t save_factored_impl(const detail::FactoredImpl<T>& f,
   w.begin_section("coupling");
   write_coupling(w, f);
   w.end_section();
-  w.begin_section("interior");
-  if (f.single) {
-    f.interior_f.save(w);
-  } else {
-    f.interior.save(w);
-  }
-  w.end_section();
-  w.begin_section("schur");
-  // Exactly one Schur bank is live on an ok() handle: 1 = dense, 2 = H.
-  if (f.single) {
-    if (f.schur_h_f) {
-      w.write_u8(2);
-      f.schur_h_f->save(w);
-    } else {
-      w.write_u8(1);
-      f.schur_dense_f.save(w);
-    }
-  } else {
-    if (f.schur_h) {
-      w.write_u8(2);
-      f.schur_h->save(w);
-    } else {
-      w.write_u8(1);
-      f.schur_dense.save(w);
-    }
-  }
-  w.end_section();
+  f.with_bank([&](const auto& bank) {
+    w.begin_section("interior");
+    bank.interior.save(w);
+    w.end_section();
+    w.begin_section("schur");
+    // Schur factorization tag: 1 = dense, 2 = H.
+    w.write_u8(static_cast<std::uint8_t>(bank.schur.index() + 1));
+    std::visit([&](const auto& s) { s.save(w); }, bank.schur);
+    w.end_section();
+  });
   return w.commit();
 }
 
@@ -1841,7 +1845,6 @@ std::size_t load_factored_impl(const std::string& path,
                                const Config& runtime,
                                detail::FactoredImpl<T>& f,
                                SolveStats& stats) {
-  using F = typename detail::FactoredImpl<T>::F;
   serialize::Reader in(path);  // verifies trailer, footer, every CRC
 
   in.open_section("meta");
@@ -1869,36 +1872,35 @@ std::size_t load_factored_impl(const std::string& path,
   read_coupling(in, system, f);
 
   in.open_section("interior");
-  f.single = single;
-  if (single) {
-    f.interior_f.load(in, runtime.ooc_dir);
-  } else {
-    f.interior.load(in, runtime.ooc_dir);
-  }
-
-  in.open_section("schur");
-  const std::uint8_t bank = in.read_u8();
-  HOptions ho;
-  ho.eps = f.cfg.eps;
-  ho.eta = f.cfg.eta;
-  if (bank == 2) {
-    if (single) {
-      f.schur_h_f.emplace(HMatrix<F>::load(*f.tree, *f.tree, ho, in));
+  with_factor_scalar<T>(f.cfg.factor_precision, [&](auto scalar) {
+    using ST = decltype(scalar);
+    auto& bank = f.factors.template emplace<detail::Factors<ST>>();
+    bank.interior.load(in, runtime.ooc_dir);
+    in.open_section("schur");
+    const std::uint8_t tag = in.read_u8();
+    if (tag == 1) {
+      std::get<0>(bank.schur).load(in);
+    } else if (tag == 2) {
+      bank.schur.template emplace<1>(
+          HMatrix<ST>::load(*f.tree, *f.tree, h_options(f.cfg), in));
     } else {
-      f.schur_h.emplace(HMatrix<T>::load(*f.tree, *f.tree, ho, in));
+      throw ClassifiedError(ErrorCode::kIo, "ckpt.corrupt",
+                            "unknown Schur factor bank tag in checkpoint");
     }
-  } else if (bank == 1) {
-    if (single) {
-      f.schur_dense_f.load(in);
-    } else {
-      f.schur_dense.load(in);
-    }
-  } else {
-    throw ClassifiedError(ErrorCode::kIo, "ckpt.corrupt",
-                          "unknown Schur factor bank tag in checkpoint");
-  }
+  });
   stats.factor_bytes = stats.sparse_factor_bytes + stats.schur_bytes;
   return in.file_bytes();
+}
+
+/// A fresh handle state for `system`, before any factorization or load.
+template <class T>
+std::unique_ptr<detail::FactoredImpl<T>> new_impl(
+    const CoupledSystem<T>& system, const Config& config) {
+  auto impl = std::make_unique<detail::FactoredImpl<T>>();
+  impl->sys = &system;
+  impl->cfg = config;
+  set_dimensions(impl->fstats, system);
+  return impl;
 }
 
 }  // namespace
@@ -1907,18 +1909,8 @@ template <class T>
 SolveStats solve_coupled(const CoupledSystem<T>& system,
                          const Config& config) {
   SolveStats stats;
-  stats.n_fem = system.nv();
-  stats.n_bem = system.ns();
-  stats.n_total = system.total();
-
-  {
-    const std::string problem = validate_config(config);
-    if (!problem.empty()) {
-      stats.error = config_error(problem);
-      stats.failure = failure_text(stats.error);
-      return stats;
-    }
-  }
+  set_dimensions(stats, system);
+  if (!config_accepted(config, stats)) return stats;
 
   detail::FactoredImpl<T> impl;
   impl.sys = &system;
@@ -1926,20 +1918,12 @@ SolveStats solve_coupled(const CoupledSystem<T>& system,
   with_solver_session(config, stats, "solve", [&] {
     run_attempts<T>(system, config, impl, stats,
                     [&](detail::FactoredImpl<T>& f) {
-                      // One-column batch from the system's built-in RHS.
+                      // One-column batch from the system's built-in RHS,
+                      // solved in place.
                       MemoryScope scope(MemTag::kRhsWorkspace);
-                      const index_t nv = system.nv();
-                      const index_t ns = system.ns();
-                      la::Matrix<T> Bv(nv, 1), Bs(ns, 1);
-                      for (index_t i = 0; i < nv; ++i)
-                        Bv(i, 0) = system.b_v[i];
-                      for (index_t i = 0; i < ns; ++i)
-                        Bs(i, 0) = system.b_s[i];
+                      la::Vector<T> xv = system.b_v, xs = system.b_s;
                       stats.nrhs = 1;
-                      solve_batch(f, Bv.view(), Bs.view(), stats);
-                      la::Vector<T> xv(nv), xs(ns);
-                      for (index_t i = 0; i < nv; ++i) xv[i] = Bv(i, 0);
-                      for (index_t i = 0; i < ns; ++i) xs[i] = Bs(i, 0);
+                      solve_batch(f, xv.as_matrix(), xs.as_matrix(), stats);
                       stats.relative_error = system.relative_error(xv, xs);
                     });
     record_planner_audit<T>(audit_in, impl.cfg, stats);
@@ -1952,23 +1936,10 @@ FactoredCoupled<T> factorize_coupled(const CoupledSystem<T>& system,
                                      const Config& config,
                                      SweepContext* sweep) {
   FactoredCoupled<T> handle;
-  handle.impl_ = std::make_unique<detail::FactoredImpl<T>>();
+  handle.impl_ = new_impl(system, config);
   detail::FactoredImpl<T>& impl = *handle.impl_;
-  impl.sys = &system;
-  impl.cfg = config;
   SolveStats& stats = impl.fstats;
-  stats.n_fem = system.nv();
-  stats.n_bem = system.ns();
-  stats.n_total = system.total();
-
-  {
-    const std::string problem = validate_config(config);
-    if (!problem.empty()) {
-      stats.error = config_error(problem);
-      stats.failure = failure_text(stats.error);
-      return handle;
-    }
-  }
+  if (!config_accepted(config, stats)) return handle;
 
   const auto audit_in = planner_audit_inputs(system, config);
   with_solver_session(config, stats, "factorize", [&] {
@@ -2022,42 +1993,15 @@ SolveStats FactoredCoupled<T>::solve(la::MatrixView<T> B_v,
                                      la::MatrixView<T> B_s) const {
   SolveStats stats;
   stats.nrhs = B_v.cols();
-  if (!ok()) {
-    stats.error = SolveError{ErrorCode::kInternal, "handle",
-                             "solve on an unfactored handle"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
-  stats.n_fem = impl_->sys->nv();
-  stats.n_bem = impl_->sys->ns();
-  stats.n_total = impl_->sys->total();
+  if (!ok()) return rejected(stats, "solve on an unfactored handle");
+  set_dimensions(stats, *impl_->sys);
   stats.factor_precision = impl_->cfg.factor_precision;
   if (B_v.cols() != B_s.cols() || B_v.rows() != impl_->sys->nv() ||
-      B_s.rows() != impl_->sys->ns()) {
-    stats.error = SolveError{ErrorCode::kInternal, "handle",
-                             "right-hand-side block shape mismatch"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
-  // Deliberately no budget/thread scopes and no retry ladder here: solve()
-  // must be safe to call concurrently from several threads against one
-  // factorization, so it runs entirely in the caller's context and reports
-  // any failure without touching global state. The counters are a read-only
-  // delta of the process-wide Metrics (concurrent solves may bleed into
-  // each other's deltas; each count still happened during this window).
-  const Metrics::Values metrics_before = Metrics::instance().values();
-  Timer total;
-  try {
-    solve_batch(*impl_, B_v, B_s, stats);
-    stats.success = true;
-  } catch (...) {
-    stats.error = classify_current_exception();
-    stats.failure = failure_text(stats.error);
-    trace_instant("error", error_code_name(stats.error.code));
-  }
-  stats.total_seconds = total.seconds();
-  stats.counters = Metrics::instance().delta_since(metrics_before);
-  return stats;
+      B_s.rows() != impl_->sys->ns())
+    return rejected(stats, "right-hand-side block shape mismatch");
+  return run_solve(stats, [&](SolveStats& st) {
+    solve_batch(*impl_, B_v, B_s, st);
+  });
 }
 
 template <class T>
@@ -2066,41 +2010,21 @@ SolveStats FactoredCoupled<T>::solve_lagged(
     la::MatrixView<T> B_s) const {
   SolveStats stats;
   stats.nrhs = B_v.cols();
-  if (!ok()) {
-    stats.error = SolveError{ErrorCode::kInternal, "handle",
-                             "solve_lagged on an unfactored handle"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
-  stats.n_fem = target.nv();
-  stats.n_bem = target.ns();
-  stats.n_total = target.total();
+  if (!ok()) return rejected(stats, "solve_lagged on an unfactored handle");
+  set_dimensions(stats, target);
   stats.factor_precision = impl_->cfg.factor_precision;
-  if (target.nv() != impl_->sys->nv() || target.ns() != impl_->sys->ns()) {
-    stats.error = SolveError{ErrorCode::kInternal, "handle",
-                             "target system shape differs from the "
-                             "factored system"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
+  if (target.nv() != impl_->sys->nv() || target.ns() != impl_->sys->ns())
+    return rejected(stats,
+                    "target system shape differs from the factored system");
   if (B_v.cols() != B_s.cols() || B_v.rows() != target.nv() ||
-      B_s.rows() != target.ns()) {
-    stats.error = SolveError{ErrorCode::kInternal, "handle",
-                             "right-hand-side block shape mismatch"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
+      B_s.rows() != target.ns())
+    return rejected(stats, "right-hand-side block shape mismatch");
   // Lagged refinement without a convergence target would silently return
   // the neighboring frequency's answer.
-  if (!(impl_->cfg.refine_tolerance > 0) ||
-      impl_->cfg.refine_iterations < 1) {
-    stats.error =
-        SolveError{ErrorCode::kInternal, "handle",
-                   "solve_lagged requires refine_tolerance > 0 and "
-                   "refine_iterations >= 1"};
-    stats.failure = failure_text(stats.error);
-    return stats;
-  }
+  if (!(impl_->cfg.refine_tolerance > 0) || impl_->cfg.refine_iterations < 1)
+    return rejected(stats,
+                    "solve_lagged requires refine_tolerance > 0 and "
+                    "refine_iterations >= 1");
   // Armed like save(): the refine.stall failpoint must be able to force
   // the fallback path deterministically in the sweep tests.
   ScopedFailpoints failpoints(impl_->cfg.failpoints);
@@ -2114,20 +2038,10 @@ SolveStats FactoredCoupled<T>::solve_lagged(
   // equalizes the two, so a sweep's accuracy does not depend on which
   // tier served each frequency.
   ov.refine_tolerance = 0.01 * impl_->cfg.refine_tolerance;
-  const Metrics::Values metrics_before = Metrics::instance().values();
-  Timer total;
-  try {
+  return run_solve(stats, [&](SolveStats& st) {
     Metrics::instance().add(Metric::kLaggedSolves, 1);
-    solve_batch(*impl_, B_v, B_s, stats, &ov);
-    stats.success = true;
-  } catch (...) {
-    stats.error = classify_current_exception();
-    stats.failure = failure_text(stats.error);
-    trace_instant("error", error_code_name(stats.error.code));
-  }
-  stats.total_seconds = total.seconds();
-  stats.counters = Metrics::instance().delta_since(metrics_before);
-  return stats;
+    solve_batch(*impl_, B_v, B_s, st, &ov);
+  });
 }
 
 template <class T>
@@ -2159,31 +2073,17 @@ FactoredCoupled<T> load_factored(const std::string& path,
                                  const CoupledSystem<T>& system,
                                  const Config& config) {
   FactoredCoupled<T> handle;
-  handle.impl_ = std::make_unique<detail::FactoredImpl<T>>();
+  handle.impl_ = new_impl(system, config);
   detail::FactoredImpl<T>& impl = *handle.impl_;
-  impl.sys = &system;
-  impl.cfg = config;
   SolveStats& stats = impl.fstats;
-  stats.n_fem = system.nv();
-  stats.n_bem = system.ns();
-  stats.n_total = system.total();
-
-  {
-    // The caller's config governs the checkpoint_fallback refactorization,
-    // so it is validated exactly like a factorize_coupled config.
-    const std::string problem = validate_config(config);
-    if (!problem.empty()) {
-      stats.error = config_error(problem);
-      stats.failure = failure_text(stats.error);
-      return handle;
-    }
-  }
+  // The caller's config governs the checkpoint_fallback refactorization,
+  // so it is validated exactly like a factorize_coupled config.
+  if (!config_accepted(config, stats)) return handle;
 
   const auto audit_in = planner_audit_inputs(system, config);
   with_solver_session(config, stats, "load", [&] {
     try {
-      ScopedPhase phase(stats.phases, "checkpoint_load");
-      TraceSpan span("phase", "checkpoint_load");
+      auto phase = Timed::phase(stats, "checkpoint_load");
       const std::size_t bytes =
           load_factored_impl(path, system, config, impl, stats);
       impl.ok = true;
@@ -2192,9 +2092,7 @@ FactoredCoupled<T> load_factored(const std::string& path,
       stats.checkpoint_source = "checkpoint";
       stats.checkpoint_bytes = bytes;
     } catch (...) {
-      stats.error = classify_current_exception();
-      stats.failure = failure_text(stats.error);
-      trace_instant("error", error_code_name(stats.error.code));
+      record_current_failure(stats);
       // Drop anything the partial load produced, including any stats the
       // meta section primed before the failure surfaced.
       impl.reset_factors();

@@ -32,9 +32,12 @@
 // figures 10-13 and Table II.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -62,7 +65,17 @@ enum class Strategy {
   kMultiSolveRandomized,
 };
 
+/// Every strategy, in enumeration order.
+inline constexpr std::array<Strategy, 7> kAllStrategies = {
+    Strategy::kBaselineCoupling,     Strategy::kAdvancedCoupling,
+    Strategy::kMultiSolve,           Strategy::kMultiSolveCompressed,
+    Strategy::kMultiFactorization,   Strategy::kMultiFactorizationCompressed,
+    Strategy::kMultiSolveRandomized,
+};
+
 const char* strategy_name(Strategy s);
+/// Inverse of strategy_name: nullopt for a name no strategy has.
+std::optional<Strategy> strategy_from_name(std::string_view name);
 
 /// Working precision of the *stored factors* (interior multifrontal
 /// factors, dense/H-matrix Schur factorization). kSingle halves every

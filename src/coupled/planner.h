@@ -291,12 +291,7 @@ inline double predict_time_score(Strategy s, const PlannerInputs& in,
 inline std::vector<PlanEntry> plan(const PlannerInputs& in, const Config& cfg,
                                    std::size_t budget_bytes) {
   std::vector<PlanEntry> entries;
-  for (Strategy s :
-       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
-        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
-        Strategy::kMultiFactorization,
-        Strategy::kMultiFactorizationCompressed,
-        Strategy::kMultiSolveRandomized}) {
+  for (Strategy s : kAllStrategies) {
     PlanEntry e;
     e.strategy = s;
     e.predicted_peak_bytes = predict_peak(s, in, cfg);

@@ -24,21 +24,6 @@ std::atomic<int> g_stop{0};
 
 void handle_signal(int) { g_stop.store(1); }
 
-cs::coupled::Strategy strategy_by_name(const std::string& name) {
-  using cs::coupled::Strategy;
-  for (Strategy s :
-       {Strategy::kBaselineCoupling, Strategy::kAdvancedCoupling,
-        Strategy::kMultiSolve, Strategy::kMultiSolveCompressed,
-        Strategy::kMultiFactorization,
-        Strategy::kMultiFactorizationCompressed,
-        Strategy::kMultiSolveRandomized}) {
-    if (name == cs::coupled::strategy_name(s)) return s;
-  }
-  std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,9 +60,16 @@ int main(int argc, char** argv) {
              "coalescing over a framed socket protocol");
 
   server::ServeOptions opts;
-  opts.solver.strategy = strategy_by_name(args.get(
+  const std::string strategy = args.get(
       "strategy",
-      coupled::strategy_name(coupled::Strategy::kMultiSolveCompressed)));
+      coupled::strategy_name(coupled::Strategy::kMultiSolveCompressed));
+  if (const auto s = coupled::strategy_from_name(strategy)) {
+    opts.solver.strategy = *s;
+  } else {
+    std::fprintf(stderr, "unknown --strategy '%s' (see --help)\n",
+                 strategy.c_str());
+    return 2;
+  }
   opts.solver.eps = args.get_double("eps", 1e-4);
   opts.solver.num_threads = static_cast<int>(args.get_int("threads", 0));
   opts.cache_budget_bytes = static_cast<std::size_t>(

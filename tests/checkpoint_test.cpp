@@ -151,12 +151,7 @@ TEST_P(CheckpointSweep, RoundTripSolveIsBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, CheckpointSweep,
     ::testing::Combine(
-        ::testing::Values(Strategy::kBaselineCoupling,
-                          Strategy::kAdvancedCoupling, Strategy::kMultiSolve,
-                          Strategy::kMultiSolveCompressed,
-                          Strategy::kMultiFactorization,
-                          Strategy::kMultiFactorizationCompressed,
-                          Strategy::kMultiSolveRandomized),
+        ::testing::ValuesIn(kAllStrategies),
         ::testing::Values(Precision::kDouble, Precision::kSingle)),
     [](const ::testing::TestParamInfo<std::tuple<Strategy, Precision>>&
            info) {
@@ -291,23 +286,70 @@ TEST(Checkpoint, FlippedPayloadByteIsDetectedAsCorrupt) {
   std::remove(path.c_str());
 }
 
-/// The good checkpoint restamped with format `version`. Trailer: [footer
-/// offset u64][tail magic u64]. The version is the u32 at footer_offset +
-/// 8; the footer CRC is re-signed so only the version is "wrong", not the
-/// bytes around it.
+/// Offset of the footer in a checkpoint image. Trailer: [footer offset
+/// u64][tail magic u64].
+std::uint64_t footer_offset(const std::vector<char>& bytes) {
+  std::uint64_t offset = 0;
+  std::memcpy(&offset, bytes.data() + bytes.size() - 16, 8);
+  return offset;
+}
+
+/// Re-sign the footer CRC (the u32 just before the trailer) after an edit.
+void reseal_footer(std::vector<char>& bytes) {
+  const std::uint64_t offset = footer_offset(bytes);
+  const std::size_t footer_end = bytes.size() - 16;  // footer crc inclusive
+  const std::uint32_t crc = serialize::crc32c(
+      0, bytes.data() + offset, footer_end - 4 - offset);
+  std::memcpy(bytes.data() + footer_end - 4, &crc, 4);
+}
+
+/// The good checkpoint restamped with format `version`. The version is
+/// the u32 at footer_offset + 8; the footer CRC is re-signed so only the
+/// version is "wrong", not the bytes around it.
 std::vector<char> with_format_version(std::uint32_t version) {
   auto bytes = slurp(good_checkpoint());
   if (bytes.size() <= 200) {
     ADD_FAILURE() << "checkpoint too small: " << bytes.size() << " bytes";
     return bytes;
   }
-  std::uint64_t footer_offset = 0;
-  std::memcpy(&footer_offset, bytes.data() + bytes.size() - 16, 8);
-  const std::size_t footer_end = bytes.size() - 16;  // footer crc inclusive
-  std::memcpy(bytes.data() + footer_offset + 8, &version, 4);
-  const std::uint32_t crc = serialize::crc32c(
-      0, bytes.data() + footer_offset, footer_end - 4 - footer_offset);
-  std::memcpy(bytes.data() + footer_end - 4, &crc, 4);
+  std::memcpy(bytes.data() + footer_offset(bytes) + 8, &version, 4);
+  reseal_footer(bytes);
+  return bytes;
+}
+
+/// The good checkpoint with the config-section field at byte `at`
+/// overwritten by `value`, the section CRC and the footer CRC re-signed:
+/// the file verifies, only the stored config is wrong. The footer lists
+/// per section {name length u64, name, offset u64, bytes u64, crc u32}
+/// after magic u64, version u32 and the section count u32.
+template <class P>
+std::vector<char> with_config_field(std::size_t at, P value) {
+  auto bytes = slurp(good_checkpoint());
+  std::size_t pos = footer_offset(bytes) + 8 + 4;
+  std::uint32_t nsections = 0;
+  std::memcpy(&nsections, bytes.data() + pos, 4);
+  pos += 4;
+  bool patched = false;
+  for (std::uint32_t k = 0; k < nsections; ++k) {
+    std::uint64_t name_len = 0, offset = 0, size = 0;
+    std::memcpy(&name_len, bytes.data() + pos, 8);
+    const std::string name(bytes.data() + pos + 8, name_len);
+    pos += 8 + name_len;
+    std::memcpy(&offset, bytes.data() + pos, 8);
+    std::memcpy(&size, bytes.data() + pos + 8, 8);
+    pos += 16;
+    if (name == "config") {
+      EXPECT_LE(at + sizeof value, size);
+      std::memcpy(bytes.data() + offset + at, &value, sizeof value);
+      const std::uint32_t crc =
+          serialize::crc32c(0, bytes.data() + offset, size);
+      std::memcpy(bytes.data() + pos, &crc, 4);
+      patched = true;
+    }
+    pos += 4;
+  }
+  EXPECT_TRUE(patched) << "no config section in the checkpoint";
+  reseal_footer(bytes);
   return bytes;
 }
 
@@ -335,6 +377,45 @@ TEST(Checkpoint, PreviousFormatVersionFallsBackToRefactorization) {
   EXPECT_EQ(h.stats().recoveries.front().action, "checkpoint_fallback");
   EXPECT_NE(h.stats().recoveries.front().detail.find("ckpt.version"),
             std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, InvalidStoredConfigIsRejected) {
+  // Byte offsets in the config section (write_config): strategy i32 at 0,
+  // n_c i64 at 4, ordering i32 at 53, refine_tolerance f64 at 61,
+  // factor_precision i32 at 69. Each patched file has valid CRCs but a
+  // config that factorize_coupled would refuse.
+  const std::string path = ckpt_path("bad_config");
+  spit(path, with_config_field<double>(61, -1.0));  // refine_tolerance < 0
+  expect_clean_failure(path, "ckpt.corrupt");
+  spit(path, with_config_field<std::int32_t>(0, 99));  // no such strategy
+  expect_clean_failure(path, "ckpt.corrupt");
+  spit(path, with_config_field<std::int32_t>(53, -1));  // no such ordering
+  expect_clean_failure(path, "ckpt.corrupt");
+  spit(path, with_config_field<std::int32_t>(69, 2));  // no such precision
+  expect_clean_failure(path, "ckpt.corrupt");
+  // 2^40 + 64 would narrow to a valid-looking n_c of 64.
+  spit(path,
+       with_config_field<std::int64_t>(4, (std::int64_t{1} << 40) + 64));
+  expect_clean_failure(path, "ckpt.corrupt");
+  // Rewriting refine_tolerance with its saved value (0) still loads: the
+  // edited values, not the resealing, are what the reader refuses.
+  spit(path, with_config_field<double>(61, 0.0));
+  Config strict;
+  strict.auto_recover = false;
+  EXPECT_TRUE(load_factored(path, real_system(), strict).ok());
+
+  spit(path, with_config_field<double>(61, -1.0));
+  Config cfg;  // auto_recover defaults to true
+  cfg.eps = 1e-4;
+  auto h = load_factored(path, real_system(), cfg);
+  ASSERT_TRUE(h.ok()) << h.stats().failure;
+  EXPECT_EQ(h.stats().checkpoint_source, "refactorized");
+  ASSERT_FALSE(h.stats().recoveries.empty());
+  EXPECT_EQ(h.stats().recoveries.front().action, "checkpoint_fallback");
+  EXPECT_NE(h.stats().recoveries.front().detail.find("ckpt.corrupt"),
+            std::string::npos);
+  EXPECT_GE(h.config().refine_tolerance, 0.0);
   std::remove(path.c_str());
 }
 

@@ -270,17 +270,8 @@ TEST(ConfigValidation, CatchesEachInvalidField) {
 
 TEST(FailpointSweep, EverySiteEveryStrategyRecoversOrReportsCleanly) {
   const auto& sys = tiny_system();
-  const Strategy strategies[] = {
-      Strategy::kBaselineCoupling,
-      Strategy::kAdvancedCoupling,
-      Strategy::kMultiSolve,
-      Strategy::kMultiSolveCompressed,
-      Strategy::kMultiFactorization,
-      Strategy::kMultiFactorizationCompressed,
-      Strategy::kMultiSolveRandomized,
-  };
   for (const std::string& site : FailpointRegistry::known_sites()) {
-    for (Strategy s : strategies) {
+    for (Strategy s : coupled::kAllStrategies) {
       Config cfg;
       cfg.strategy = s;
       cfg.n_c = 32;

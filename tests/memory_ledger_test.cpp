@@ -312,13 +312,7 @@ TEST_P(LedgerStrategySweep, SolveKeepsSumInvariantAndAttributesPeak) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, LedgerStrategySweep,
-    ::testing::Values(coupled::Strategy::kBaselineCoupling,
-                      coupled::Strategy::kAdvancedCoupling,
-                      coupled::Strategy::kMultiSolve,
-                      coupled::Strategy::kMultiSolveCompressed,
-                      coupled::Strategy::kMultiFactorization,
-                      coupled::Strategy::kMultiFactorizationCompressed,
-                      coupled::Strategy::kMultiSolveRandomized),
+    ::testing::ValuesIn(coupled::kAllStrategies),
     [](const ::testing::TestParamInfo<coupled::Strategy>& info) {
       std::string name = coupled::strategy_name(info.param);
       for (auto& c : name)

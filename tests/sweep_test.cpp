@@ -42,16 +42,6 @@ Config sweep_config(Strategy s) {
 /// |omega^2 - omega'^2|, so a fine grid is where tier 3 can engage.
 const std::vector<double> kOmegas = {1.1, 1.125, 1.15};
 
-constexpr Strategy kAllStrategies[] = {
-    Strategy::kBaselineCoupling,
-    Strategy::kAdvancedCoupling,
-    Strategy::kMultiSolve,
-    Strategy::kMultiSolveCompressed,
-    Strategy::kMultiFactorization,
-    Strategy::kMultiFactorizationCompressed,
-    Strategy::kMultiSolveRandomized,
-};
-
 TEST(Sweep, RecycledMatchesNaiveAccuracyForEveryStrategy) {
   for (Strategy s : kAllStrategies) {
     SweepOptions naive_opt;

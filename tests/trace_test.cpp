@@ -366,5 +366,46 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   EXPECT_NE(run_stats->find("stages"), nullptr);
 }
 
+TEST_F(TraceTest, EveryTimedPhaseAndStageIsTraced) {
+  // SolveStats::phases / ::stages and the "phase" / "stage" spans come
+  // from one timing scope, so for every strategy the two name sets agree.
+  auto sys = fembem::make_pipe_system<double>({.total_unknowns = 1500});
+  auto& tracer = Tracer::instance();
+  for (coupled::Strategy s : coupled::kAllStrategies) {
+    SCOPED_TRACE(coupled::strategy_name(s));
+    coupled::Config cfg;
+    cfg.strategy = s;
+    cfg.num_threads = 2;
+    cfg.n_c = 16;
+    cfg.n_S = 32;
+    cfg.n_b = 2;
+    tracer.clear();
+    tracer.set_enabled(true);
+    auto h = coupled::factorize_coupled(sys, cfg);
+    tracer.set_enabled(false);
+    ASSERT_TRUE(h.ok()) << h.stats().failure;
+
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(tracer.to_json(), &doc, &err)) << err;
+    std::set<std::string> traced_phases, traced_stages;
+    for (const auto& e : doc.find("traceEvents")->array) {
+      const json::Value* cat = e.find("cat");
+      const json::Value* ph = e.find("ph");
+      if (cat == nullptr || ph == nullptr || ph->string != "B") continue;
+      if (cat->string == "phase") traced_phases.insert(e.find("name")->string);
+      if (cat->string == "stage") traced_stages.insert(e.find("name")->string);
+    }
+    std::set<std::string> timed_phases, timed_stages;
+    for (const auto& [name, seconds] : h.stats().phases.all())
+      timed_phases.insert(name);
+    for (const auto& [name, seconds] : h.stats().stages.all())
+      timed_stages.insert(name);
+    EXPECT_FALSE(timed_phases.empty());
+    EXPECT_EQ(traced_phases, timed_phases);
+    EXPECT_EQ(traced_stages, timed_stages);
+  }
+}
+
 }  // namespace
 }  // namespace cs
