@@ -275,13 +275,12 @@ class HMatrix {
     if (!factored_)
       throw std::logic_error("solve() before a factorization");
     assert(B.rows() == rows());
+    trsm_dense(*this, la::Uplo::kLower, la::Op::kNoTrans, B);
     if (ldlt_) {
-      forward_unit_lower(*this, B);
       scale_by_diag_inv(*this, B);
-      backward_unit_lower_trans(*this, B);
+      trsm_dense(*this, la::Uplo::kLower, la::Op::kTrans, B);
     } else {
-      solve_lower_dense(*this, B);
-      solve_upper_dense(*this, B);
+      trsm_dense(*this, la::Uplo::kUpper, la::Op::kNoTrans, B);
     }
   }
 
@@ -834,7 +833,7 @@ class HMatrix {
     }
   }
 
-  // -- H-LU -----------------------------------------------------------------
+  // -- H-LU and H-LDL^T -----------------------------------------------------
 
   /// Runs `f(depth)` with an OpenMP task pool underneath: a parallel region
   /// whose single initial task is the recursion, with the remaining threads
@@ -877,16 +876,15 @@ class HMatrix {
             depth,
             {[&] { solve_lower_h(child(0, 0), child(0, 1), depth - 1); },
              [&] {
-               solve_upper_right_h(child(0, 0), child(1, 0), depth - 1);
+               solve_right_h(child(0, 0), false, child(1, 0), depth - 1);
              }});
-        gemm_h(T{-1}, child(1, 0), child(0, 1), child(1, 1), depth);
+        gemm(T{-1}, child(1, 0), nullptr, child(0, 1), la::Op::kNoTrans,
+             child(1, 1), depth);
         child(1, 1).lu_rec(depth);
         break;
       }
     }
   }
-
-  // -- H-LDLT ---------------------------------------------------------------
 
   void ldlt_rec(int depth = 0) {
     switch (kind_) {
@@ -899,12 +897,13 @@ class HMatrix {
       case Kind::kNode: {
         child(0, 0).ldlt_rec(depth);
         // A10 := A10 L00^{-T} D00^{-1}.
-        solve_ldlt_right_h(child(0, 0), child(1, 0), depth);
+        solve_right_h(child(0, 0), true, child(1, 0), depth);
         // A11 -= A10 D00 A10^T. (The update also refreshes A11's upper
         // blocks; only diagonal/lower are read afterwards.)
         std::vector<T> d(static_cast<std::size_t>(child(0, 0).rows()));
         gather_diag(child(0, 0), d.data());
-        gemm_d(T{-1}, child(1, 0), d.data(), child(1, 0), child(1, 1), depth);
+        gemm(T{-1}, child(1, 0), d.data(), child(1, 0), la::Op::kTrans,
+             child(1, 1), depth);
         child(1, 1).ldlt_rec(depth);
         break;
       }
@@ -922,311 +921,49 @@ class HMatrix {
     gather_diag(A.child(1, 1), out + A.child(0, 0).rows());
   }
 
-  /// M(k, :) *= D_A(k) or /= D_A(k); the diagonal lives in the factored
-  /// dense diagonal leaves of A.
-  static void scale_by_diag_impl(const HMatrix& A, la::MatrixView<T> M,
-                                 bool inverse) {
+  /// M(k, :) /= D_A(k); the diagonal lives in the factored dense diagonal
+  /// leaves of A.
+  static void scale_by_diag_inv(const HMatrix& A, la::MatrixView<T> M) {
     if (A.kind_ == Kind::kFull) {
       for (index_t k = 0; k < A.rows(); ++k) {
-        const T d = A.full_(k, k);
-        const T s = inverse ? T{1} / d : d;
+        const T s = T{1} / A.full_(k, k);
         for (index_t j = 0; j < M.cols(); ++j) M(k, j) *= s;
       }
       return;
     }
     assert(A.kind_ == Kind::kNode);
     const index_t n0 = A.child(0, 0).rows();
-    scale_by_diag_impl(A.child(0, 0), M.block(0, 0, n0, M.cols()), inverse);
-    scale_by_diag_impl(A.child(1, 1),
-                       M.block(n0, 0, M.rows() - n0, M.cols()), inverse);
-  }
-  static void scale_by_diag(const HMatrix& A, la::MatrixView<T> M) {
-    scale_by_diag_impl(A, M, false);
-  }
-  static void scale_by_diag_inv(const HMatrix& A, la::MatrixView<T> M) {
-    scale_by_diag_impl(A, M, true);
+    scale_by_diag_inv(A.child(0, 0), M.block(0, 0, n0, M.cols()));
+    scale_by_diag_inv(A.child(1, 1), M.block(n0, 0, M.rows() - n0, M.cols()));
   }
 
-  /// M := L_A^{-1} M (unit lower of an LDLT-factored A; no pivots).
-  static void forward_unit_lower(const HMatrix& A, la::MatrixView<T> M) {
+  /// M := op(L_A)^{-1} M (unit lower) or M := op(U_A)^{-1} M (non-unit
+  /// upper) for dense M spanning A's rows. The lower no-transpose solve
+  /// applies P_A first; H-LDL^T leaves carry no pivots, so it serves both
+  /// factorizations.
+  static void trsm_dense(const HMatrix& A, la::Uplo uplo, la::Op op,
+                         la::MatrixView<T> M) {
+    const bool lower = uplo == la::Uplo::kLower;
     if (A.kind_ == Kind::kFull) {
-      la::trsm(la::Side::kLeft, la::Uplo::kLower, la::Op::kNoTrans,
-               la::Diag::kUnit, A.full_.view(), M);
+      if (lower && op == la::Op::kNoTrans) la::lu_apply_pivots(A.piv_, M);
+      la::trsm(la::Side::kLeft, uplo, op,
+               lower ? la::Diag::kUnit : la::Diag::kNonUnit, A.full_.view(),
+               M);
       return;
     }
     assert(A.kind_ == Kind::kNode);
     const index_t n0 = A.child(0, 0).rows();
     auto M0 = M.block(0, 0, n0, M.cols());
     auto M1 = M.block(n0, 0, M.rows() - n0, M.cols());
-    forward_unit_lower(A.child(0, 0), M0);
-    A.child(1, 0).mult_add(T{-1}, la::ConstMatrixView<T>(M0), M1,
-                           la::Op::kNoTrans);
-    forward_unit_lower(A.child(1, 1), M1);
-  }
-
-  /// M := L_A^{-T} M.
-  static void backward_unit_lower_trans(const HMatrix& A,
-                                        la::MatrixView<T> M) {
-    if (A.kind_ == Kind::kFull) {
-      la::trsm(la::Side::kLeft, la::Uplo::kLower, la::Op::kTrans,
-               la::Diag::kUnit, A.full_.view(), M);
-      return;
-    }
-    assert(A.kind_ == Kind::kNode);
-    const index_t n0 = A.child(0, 0).rows();
-    auto M0 = M.block(0, 0, n0, M.cols());
-    auto M1 = M.block(n0, 0, M.rows() - n0, M.cols());
-    backward_unit_lower_trans(A.child(1, 1), M1);
-    A.child(1, 0).mult_add(T{-1}, la::ConstMatrixView<T>(M1), M0,
-                           la::Op::kTrans);
-    backward_unit_lower_trans(A.child(0, 0), M0);
-  }
-
-  /// B := B L_A^{-T} D_A^{-1} for an H operand (the LDLT panel transform).
-  static void solve_ldlt_right_h(const HMatrix& A, HMatrix& B,
-                                 int depth = 0) {
-    switch (B.kind_) {
-      case Kind::kRk:
-        // (U V^T) L^{-T} D^{-1} = U (D^{-1} L^{-1} V)^T.
-        if (B.rk_.rank() > 0) {
-          forward_unit_lower(A, B.rk_.V.view());
-          scale_by_diag_inv(A, B.rk_.V.view());
-        }
-        return;
-      case Kind::kFull: {
-        // B := B L^{-T} D^{-1}  <=>  B^T := D^{-1} L^{-1} B^T.
-        la::Matrix<T> Bt(B.full_.cols(), B.full_.rows());
-        la::transpose_into(la::ConstMatrixView<T>(B.full_.view()), Bt.view());
-        forward_unit_lower(A, Bt.view());
-        scale_by_diag_inv(A, Bt.view());
-        la::transpose_into(la::ConstMatrixView<T>(Bt.view()), B.full_.view());
-        return;
-      }
-      case Kind::kNode: {
-        assert(A.kind_ == Kind::kNode);
-        run_task_group(
-            depth,
-            {[&] {
-               solve_ldlt_right_h(A.child(0, 0), B.child(0, 0), depth - 1);
-             },
-             [&] {
-               solve_ldlt_right_h(A.child(0, 0), B.child(1, 0), depth - 1);
-             }});
-        // B*1 := (B*1 - B*0 D00 L10^T) L11^{-T} D1^{-1}.
-        std::vector<T> d(static_cast<std::size_t>(A.child(0, 0).rows()));
-        gather_diag(A.child(0, 0), d.data());
-        run_task_group(depth,
-                       {[&] {
-                          gemm_d(T{-1}, B.child(0, 0), d.data(),
-                                 A.child(1, 0), B.child(0, 1), depth - 1);
-                        },
-                        [&] {
-                          gemm_d(T{-1}, B.child(1, 0), d.data(),
-                                 A.child(1, 0), B.child(1, 1), depth - 1);
-                        }});
-        run_task_group(
-            depth,
-            {[&] {
-               solve_ldlt_right_h(A.child(1, 1), B.child(0, 1), depth - 1);
-             },
-             [&] {
-               solve_ldlt_right_h(A.child(1, 1), B.child(1, 1), depth - 1);
-             }});
-        return;
-      }
-    }
-  }
-
-  /// C += alpha * X diag(d) Y^T (d spans the shared column cluster of X
-  /// and Y; Y is used transposed, so its *rows* match C's columns). The
-  /// four target quadrants are disjoint: they fan out as tasks, each
-  /// accumulating its own l-contributions in the serial order.
-  static void gemm_d(T alpha, const HMatrix& X, const T* d, const HMatrix& Y,
-                     HMatrix& C, int depth = 0) {
-    if (X.kind_ == Kind::kNode && Y.kind_ == Kind::kNode &&
-        C.kind_ == Kind::kNode) {
-      const index_t k0 = X.child(0, 0).cols();
-      std::vector<std::function<void()>> quads;
-      for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j)
-          quads.push_back([&, i, j] {
-            for (int l = 0; l < 2; ++l)
-              gemm_d(alpha, X.child(i, l), l == 0 ? d : d + k0,
-                     Y.child(j, l), C.child(i, j), depth - 1);
-          });
-      run_task_group(depth, std::move(quads));
-      return;
-    }
-    la::RkFactors<T> rk = multiply_to_rk_d(X, d, Y);
-    C.add_rk(alpha, rk);
-  }
-
-  /// X diag(d) Y^T as rank-k factors.
-  static la::RkFactors<T> multiply_to_rk_d(const HMatrix& X, const T* d,
-                                           const HMatrix& Y) {
-    const real_of_t<T> eps = real_of_t<T>(X.opt_.eps);
-    la::RkFactors<T> out;
-    if (X.kind_ == Kind::kRk) {
-      // (Ux Vx^T) D Y^T = Ux (Y (D Vx))^T.
-      la::Matrix<T> W = X.rk_.V;
-      for (index_t c = 0; c < W.cols(); ++c)
-        for (index_t i = 0; i < W.rows(); ++i) W(i, c) *= d[i];
-      out.U = X.rk_.U;
-      out.V = la::Matrix<T>(Y.rows(), X.rk_.rank());
-      if (X.rk_.rank() > 0)
-        Y.mult_add(T{1}, la::ConstMatrixView<T>(W.view()), out.V.view(),
-                   la::Op::kNoTrans);
-      return out;
-    }
-    if (Y.kind_ == Kind::kRk) {
-      // X D (Uy Vy^T)^T = (X (D Vy)) Uy^T.
-      la::Matrix<T> W = Y.rk_.V;
-      for (index_t c = 0; c < W.cols(); ++c)
-        for (index_t i = 0; i < W.rows(); ++i) W(i, c) *= d[i];
-      out.U = la::Matrix<T>(X.rows(), Y.rk_.rank());
-      if (Y.rk_.rank() > 0)
-        X.mult_add(T{1}, la::ConstMatrixView<T>(W.view()), out.U.view(),
-                   la::Op::kNoTrans);
-      out.V = Y.rk_.U;
-      return out;
-    }
-    if (X.kind_ == Kind::kFull && Y.kind_ == Kind::kFull) {
-      // Factors ((X D), Y): rank bounded by the shared dimension.
-      out.U = X.full_;
-      for (index_t c = 0; c < out.U.cols(); ++c)
-        for (index_t i = 0; i < out.U.rows(); ++i) out.U(i, c) *= d[c];
-      out.V = Y.full_;
-      la::truncate_rk(out, eps);
-      return out;
-    }
-    if (X.kind_ == Kind::kNode && Y.kind_ == Kind::kNode) {
-      // Quadrant merge, as in multiply_to_rk.
-      const index_t k0 = X.child(0, 0).cols();
-      std::array<la::RkFactors<T>, 4> quads;
-      index_t total_rank = 0;
-      for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j) {
-          auto r0 = multiply_to_rk_d(X.child(i, 0), d, Y.child(j, 0));
-          auto r1 = multiply_to_rk_d(X.child(i, 1), d + k0, Y.child(j, 1));
-          la::RkFactors<T> q;
-          const index_t m = X.child(i, 0).rows();
-          const index_t n = Y.child(j, 0).rows();
-          q.U = la::Matrix<T>(m, r0.rank() + r1.rank());
-          q.V = la::Matrix<T>(n, r0.rank() + r1.rank());
-          if (r0.rank() > 0) {
-            q.U.block(0, 0, m, r0.rank()).copy_from(r0.U.view());
-            q.V.block(0, 0, n, r0.rank()).copy_from(r0.V.view());
-          }
-          if (r1.rank() > 0) {
-            q.U.block(0, r0.rank(), m, r1.rank()).copy_from(r1.U.view());
-            q.V.block(0, r0.rank(), n, r1.rank()).copy_from(r1.V.view());
-          }
-          la::truncate_rk(q, eps);
-          total_rank += q.rank();
-          quads[static_cast<std::size_t>(2 * i + j)] = std::move(q);
-        }
-      const index_t m0 = X.child(0, 0).rows(), m1 = X.child(1, 0).rows();
-      const index_t n0 = Y.child(0, 0).rows(), n1 = Y.child(1, 0).rows();
-      out.U = la::Matrix<T>(m0 + m1, total_rank);
-      out.V = la::Matrix<T>(n0 + n1, total_rank);
-      index_t at = 0;
-      for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j) {
-          const auto& q = quads[static_cast<std::size_t>(2 * i + j)];
-          if (q.rank() == 0) continue;
-          out.U.block(i == 0 ? 0 : m0, at, q.U.rows(), q.rank())
-              .copy_from(q.U.view());
-          out.V.block(j == 0 ? 0 : n0, at, q.V.rows(), q.rank())
-              .copy_from(q.V.view());
-          at += q.rank();
-        }
-      la::truncate_rk(out, eps);
-      return out;
-    }
-    // Mixed Full x Node: fall back through an identity factor.
-    if (X.kind_ == Kind::kFull) {
-      // X (m x k) dense, Y node: result = X D Y^T = ((X D)) (Y)^T via
-      // V = Y (D X^T)^T? Use rank-m identity: U = I_m, V = Y (D X^T cols).
-      const index_t m = X.rows();
-      la::Matrix<T> XDt(X.cols(), m);  // (X D)^T = D X^T
-      for (index_t j = 0; j < X.cols(); ++j)
-        for (index_t i = 0; i < m; ++i) XDt(j, i) = X.full_(i, j) * d[j];
-      out.V = la::Matrix<T>(Y.rows(), m);
-      Y.mult_add(T{1}, la::ConstMatrixView<T>(XDt.view()), out.V.view(),
-                 la::Op::kNoTrans);
-      out.U = la::Matrix<T>::identity(m);
-      la::truncate_rk(out, eps);
-      return out;
-    }
-    // X node, Y Full: U = X (D Y^T cols) = X (D applied to Y's rows)^T...
-    {
-      const index_t n = Y.rows();
-      la::Matrix<T> DYt(Y.cols(), n);  // (Y D)^T? we need X D Y^T: W = D Y^T
-      for (index_t j = 0; j < Y.cols(); ++j)
-        for (index_t i = 0; i < n; ++i) DYt(j, i) = Y.full_(i, j) * d[j];
-      out.U = la::Matrix<T>(X.rows(), n);
-      X.mult_add(T{1}, la::ConstMatrixView<T>(DYt.view()), out.U.view(),
-                 la::Op::kNoTrans);
-      out.V = la::Matrix<T>::identity(n);
-      la::truncate_rk(out, eps);
-      return out;
-    }
-  }
-
-  /// M := L_A^{-1} (P_A applied) M for dense M spanning A's rows.
-  static void solve_lower_dense(const HMatrix& A, la::MatrixView<T> M) {
-    if (A.kind_ == Kind::kFull) {
-      la::lu_apply_pivots(A.piv_, M);
-      la::trsm(la::Side::kLeft, la::Uplo::kLower, la::Op::kNoTrans,
-               la::Diag::kUnit, A.full_.view(), M);
-      return;
-    }
-    assert(A.kind_ == Kind::kNode);
-    const index_t n0 = A.child(0, 0).rows();
-    const index_t n1 = A.child(1, 1).rows();
-    auto M0 = M.block(0, 0, n0, M.cols());
-    auto M1 = M.block(n0, 0, n1, M.cols());
-    solve_lower_dense(A.child(0, 0), M0);
-    A.child(1, 0).mult_add(T{-1}, la::ConstMatrixView<T>(M0), M1,
-                           la::Op::kNoTrans);
-    solve_lower_dense(A.child(1, 1), M1);
-  }
-
-  /// M := U_A^{-1} M for dense M spanning A's rows.
-  static void solve_upper_dense(const HMatrix& A, la::MatrixView<T> M) {
-    if (A.kind_ == Kind::kFull) {
-      la::trsm(la::Side::kLeft, la::Uplo::kUpper, la::Op::kNoTrans,
-               la::Diag::kNonUnit, A.full_.view(), M);
-      return;
-    }
-    assert(A.kind_ == Kind::kNode);
-    const index_t n0 = A.child(0, 0).rows();
-    const index_t n1 = A.child(1, 1).rows();
-    auto M0 = M.block(0, 0, n0, M.cols());
-    auto M1 = M.block(n0, 0, n1, M.cols());
-    solve_upper_dense(A.child(1, 1), M1);
-    A.child(0, 1).mult_add(T{-1}, la::ConstMatrixView<T>(M1), M0,
-                           la::Op::kNoTrans);
-    solve_upper_dense(A.child(0, 0), M0);
-  }
-
-  /// M := U_A^{-T} M for dense M spanning A's columns (used to push an
-  /// upper solve through the V factor of an Rk block).
-  static void solve_upper_trans_dense(const HMatrix& A, la::MatrixView<T> M) {
-    if (A.kind_ == Kind::kFull) {
-      la::trsm(la::Side::kLeft, la::Uplo::kUpper, la::Op::kTrans,
-               la::Diag::kNonUnit, A.full_.view(), M);
-      return;
-    }
-    assert(A.kind_ == Kind::kNode);
-    const index_t n0 = A.child(0, 0).cols();
-    const index_t n1 = A.child(1, 1).cols();
-    auto M0 = M.block(0, 0, n0, M.cols());
-    auto M1 = M.block(n0, 0, n1, M.cols());
-    solve_upper_trans_dense(A.child(0, 0), M0);
-    A.child(0, 1).mult_add(T{-1}, la::ConstMatrixView<T>(M0), M1,
-                           la::Op::kTrans);
-    solve_upper_trans_dense(A.child(1, 1), M1);
+    // op(A) lower (L, U^T) solves top-down, op(A) upper (U, L^T) bottom-up;
+    // the coupling block is A10 for L and A01 for U.
+    const int first = lower == (op == la::Op::kNoTrans) ? 0 : 1;
+    const auto Mf = first == 0 ? M0 : M1;
+    const auto Ms = first == 0 ? M1 : M0;
+    trsm_dense(A.child(first, first), uplo, op, Mf);
+    (lower ? A.child(1, 0) : A.child(0, 1))
+        .mult_add(T{-1}, la::ConstMatrixView<T>(Mf), Ms, op);
+    trsm_dense(A.child(1 - first, 1 - first), uplo, op, Ms);
   }
 
   /// B := L_A^{-1} B (H-operand forward solve). The two column panels of a
@@ -1235,10 +972,11 @@ class HMatrix {
   static void solve_lower_h(const HMatrix& A, HMatrix& B, int depth = 0) {
     switch (B.kind_) {
       case Kind::kRk:
-        if (B.rk_.rank() > 0) solve_lower_dense(A, B.rk_.U.view());
+        if (B.rk_.rank() > 0)
+          trsm_dense(A, la::Uplo::kLower, la::Op::kNoTrans, B.rk_.U.view());
         return;
       case Kind::kFull:
-        solve_lower_dense(A, B.full_.view());
+        trsm_dense(A, la::Uplo::kLower, la::Op::kNoTrans, B.full_.view());
         return;
       case Kind::kNode: {
         assert(A.kind_ == Kind::kNode);
@@ -1250,12 +988,12 @@ class HMatrix {
              }});
         run_task_group(depth,
                        {[&] {
-                          gemm_h(T{-1}, A.child(1, 0), B.child(0, 0),
-                                 B.child(1, 0), depth - 1);
+                          gemm(T{-1}, A.child(1, 0), nullptr, B.child(0, 0),
+                               la::Op::kNoTrans, B.child(1, 0), depth - 1);
                         },
                         [&] {
-                          gemm_h(T{-1}, A.child(1, 0), B.child(0, 1),
-                                 B.child(1, 1), depth - 1);
+                          gemm(T{-1}, A.child(1, 0), nullptr, B.child(0, 1),
+                               la::Op::kNoTrans, B.child(1, 1), depth - 1);
                         }});
         run_task_group(
             depth,
@@ -1268,64 +1006,82 @@ class HMatrix {
     }
   }
 
-  /// B := B * U_A^{-1} (H-operand right upper solve); the two row panels of
-  /// a node B are the independent units.
-  static void solve_upper_right_h(const HMatrix& A, HMatrix& B,
-                                  int depth = 0) {
+  /// The right panel transform of an H operand: B := B U_A^{-1} after
+  /// H-LU, B := B L_A^{-T} D_A^{-1} after H-LDL^T (which reads only A's
+  /// lower blocks). The two row panels of a node B are the independent
+  /// units.
+  static void solve_right_h(const HMatrix& A, bool ldlt, HMatrix& B,
+                            int depth = 0) {
+    // Both act on B^T from the left: U_A^{-T} B^T or D_A^{-1} L_A^{-1} B^T.
+    const auto solve_transposed = [&](la::MatrixView<T> M) {
+      if (ldlt) {
+        trsm_dense(A, la::Uplo::kLower, la::Op::kNoTrans, M);
+        scale_by_diag_inv(A, M);
+      } else {
+        trsm_dense(A, la::Uplo::kUpper, la::Op::kTrans, M);
+      }
+    };
     switch (B.kind_) {
       case Kind::kRk:
-        // (U V^T) U_A^{-1} = U (U_A^{-T} V)^T.
-        if (B.rk_.rank() > 0) solve_upper_trans_dense(A, B.rk_.V.view());
+        // (U V^T) X = U (X^T V)^T.
+        if (B.rk_.rank() > 0) solve_transposed(B.rk_.V.view());
         return;
       case Kind::kFull: {
-        // B := B U_A^{-1}  <=>  B^T := U_A^{-T} B^T.
-        la::Matrix<T> Bt(B.full_.cols(), B.full_.rows());
-        la::transpose_into(la::ConstMatrixView<T>(B.full_.view()), Bt.view());
-        solve_upper_trans_dense(A, Bt.view());
+        la::Matrix<T> Bt = transposed(B.full_);
+        solve_transposed(Bt.view());
         la::transpose_into(la::ConstMatrixView<T>(Bt.view()), B.full_.view());
         return;
       }
       case Kind::kNode: {
         assert(A.kind_ == Kind::kNode);
+        run_task_group(
+            depth,
+            {[&] {
+               solve_right_h(A.child(0, 0), ldlt, B.child(0, 0), depth - 1);
+             },
+             [&] {
+               solve_right_h(A.child(0, 0), ldlt, B.child(1, 0), depth - 1);
+             }});
+        // B*1 -= B*0 U01 (H-LU) or B*0 D00 L10^T (H-LDL^T).
+        std::vector<T> d;
+        if (ldlt) {
+          d.resize(static_cast<std::size_t>(A.child(0, 0).rows()));
+          gather_diag(A.child(0, 0), d.data());
+        }
+        const T* dp = ldlt ? d.data() : nullptr;
+        const HMatrix& A_off = ldlt ? A.child(1, 0) : A.child(0, 1);
+        const la::Op op = ldlt ? la::Op::kTrans : la::Op::kNoTrans;
         run_task_group(depth,
                        {[&] {
-                          solve_upper_right_h(A.child(0, 0), B.child(0, 0),
-                                              depth - 1);
+                          gemm(T{-1}, B.child(0, 0), dp, A_off, op,
+                               B.child(0, 1), depth - 1);
                         },
                         [&] {
-                          solve_upper_right_h(A.child(0, 0), B.child(1, 0),
-                                              depth - 1);
+                          gemm(T{-1}, B.child(1, 0), dp, A_off, op,
+                               B.child(1, 1), depth - 1);
                         }});
-        run_task_group(depth,
-                       {[&] {
-                          gemm_h(T{-1}, B.child(0, 0), A.child(0, 1),
-                                 B.child(0, 1), depth - 1);
-                        },
-                        [&] {
-                          gemm_h(T{-1}, B.child(1, 0), A.child(0, 1),
-                                 B.child(1, 1), depth - 1);
-                        }});
-        run_task_group(depth,
-                       {[&] {
-                          solve_upper_right_h(A.child(1, 1), B.child(0, 1),
-                                              depth - 1);
-                        },
-                        [&] {
-                          solve_upper_right_h(A.child(1, 1), B.child(1, 1),
-                                              depth - 1);
-                        }});
+        run_task_group(
+            depth,
+            {[&] {
+               solve_right_h(A.child(1, 1), ldlt, B.child(0, 1), depth - 1);
+             },
+             [&] {
+               solve_right_h(A.child(1, 1), ldlt, B.child(1, 1), depth - 1);
+             }});
         return;
       }
     }
   }
 
-  /// C += alpha * A * B with truncation at C's eps. Node x node x node
-  /// fans out over the four disjoint target quadrants; within a quadrant
-  /// the two l-contributions accumulate in the serial order, keeping the
-  /// recompression sequence (and hence the result) identical to a serial
-  /// run.
-  static void gemm_h(T alpha, const HMatrix& A, const HMatrix& B, HMatrix& C,
-                     int depth = 0) {
+  /// C += alpha * A diag(d) op(B) with truncation at C's eps. `d` spans the
+  /// shared cluster (A's columns, op(B)'s rows); H-LU updates pass
+  /// (nullptr, kNoTrans), H-LDL^T updates the gathered diagonal and kTrans.
+  /// Node x node x node fans out over the four disjoint target quadrants;
+  /// within a quadrant the two l-contributions accumulate in the serial
+  /// order, keeping the recompression sequence (and hence the result)
+  /// identical to a serial run.
+  static void gemm(T alpha, const HMatrix& A, const T* d, const HMatrix& B,
+                   la::Op op, HMatrix& C, int depth = 0) {
     if (A.kind_ == Kind::kNode && B.kind_ == Kind::kNode &&
         C.kind_ == Kind::kNode) {
       std::vector<std::function<void()>> quads;
@@ -1333,45 +1089,88 @@ class HMatrix {
         for (int j = 0; j < 2; ++j)
           quads.push_back([&, i, j] {
             for (int l = 0; l < 2; ++l)
-              gemm_h(alpha, A.child(i, l), B.child(l, j), C.child(i, j),
-                     depth - 1);
+              gemm(alpha, A.child(i, l), diag_part(d, A, l),
+                   op_child(B, op, l, j), op, C.child(i, j), depth - 1);
           });
       run_task_group(depth, std::move(quads));
       return;
     }
     // Leaf-involving product: compute as rank-k and accumulate.
-    la::RkFactors<T> rk = multiply_to_rk(A, B);
+    la::RkFactors<T> rk = multiply_to_rk(A, d, B, op);
     C.add_rk(alpha, rk);
   }
 
-  /// A * B as rank-k factors (truncated at A's eps).
-  static la::RkFactors<T> multiply_to_rk(const HMatrix& A, const HMatrix& B) {
+  /// Block (l, j) of op(B), and the column count of op(B).
+  static const HMatrix& op_child(const HMatrix& B, la::Op op, int l, int j) {
+    return op == la::Op::kNoTrans ? B.child(l, j) : B.child(j, l);
+  }
+  static index_t op_cols(const HMatrix& B, la::Op op) {
+    return op == la::Op::kNoTrans ? B.cols() : B.rows();
+  }
+  /// The part of d over A's column block l (a null d stays null).
+  static const T* diag_part(const T* d, const HMatrix& A, int l) {
+    return d && l == 1 ? d + A.child(0, 0).cols() : d;
+  }
+
+  static la::Matrix<T> transposed(const la::Matrix<T>& M) {
+    la::Matrix<T> t(M.cols(), M.rows());
+    la::transpose_into(la::ConstMatrixView<T>(M.view()), t.view());
+    return t;
+  }
+
+  /// diag(d) op(M) for a dense M (d may be null): a view of M itself when
+  /// that is the answer, else a transposed and/or scaled copy held in buf.
+  static la::ConstMatrixView<T> scaled(const T* d, const la::Matrix<T>& M,
+                                       la::Op op, la::Matrix<T>& buf) {
+    if (op == la::Op::kNoTrans) {
+      if (!d) return M.view();
+      buf = M;
+    } else {
+      buf = transposed(M);
+    }
+    if (d)
+      for (index_t c = 0; c < buf.cols(); ++c)
+        for (index_t i = 0; i < buf.rows(); ++i) buf(i, c) *= d[i];
+    return buf.view();
+  }
+
+  /// A diag(d) op(B) as rank-k factors (truncated at A's eps).
+  static la::RkFactors<T> multiply_to_rk(const HMatrix& A, const T* d,
+                                         const HMatrix& B, la::Op op) {
     const real_of_t<T> eps = real_of_t<T>(A.opt_.eps);
+    const la::Op flip =
+        op == la::Op::kNoTrans ? la::Op::kTrans : la::Op::kNoTrans;
+    la::Matrix<T> buf;
     la::RkFactors<T> out;
     if (A.kind_ == Kind::kRk) {
-      // (U V^T) B = U (B^T V)^T.
+      // (U V^T) D op(B) = U (op(B)^T (D V))^T.
       out.U = A.rk_.U;
-      out.V = la::Matrix<T>(B.cols(), A.rk_.rank());
+      out.V = la::Matrix<T>(op_cols(B, op), A.rk_.rank());
       if (A.rk_.rank() > 0)
-        B.mult_add(T{1}, la::ConstMatrixView<T>(A.rk_.V.view()), out.V.view(),
-                   la::Op::kTrans);
+        B.mult_add(T{1}, scaled(d, A.rk_.V, la::Op::kNoTrans, buf),
+                   out.V.view(), flip);
       return out;
     }
     if (B.kind_ == Kind::kRk) {
-      // A (U V^T) = (A U) V^T.
+      // A D op(U V^T) = (A D L) R^T, with (L, R) = (U, V), or (V, U) when
+      // op transposes.
+      const bool no_trans = op == la::Op::kNoTrans;
       out.U = la::Matrix<T>(A.rows(), B.rk_.rank());
       if (B.rk_.rank() > 0)
-        A.mult_add(T{1}, la::ConstMatrixView<T>(B.rk_.U.view()), out.U.view(),
-                   la::Op::kNoTrans);
-      out.V = B.rk_.V;
+        A.mult_add(T{1},
+                   scaled(d, no_trans ? B.rk_.U : B.rk_.V, la::Op::kNoTrans,
+                          buf),
+                   out.U.view(), la::Op::kNoTrans);
+      out.V = no_trans ? B.rk_.V : B.rk_.U;
       return out;
     }
     if (A.kind_ == Kind::kFull && B.kind_ == Kind::kFull) {
-      // Rank bounded by the small shared dimension: factors (A, B^T).
+      // Rank bounded by the small shared dimension: factors (A D, op(B)^T).
       out.U = A.full_;
-      out.V = la::Matrix<T>(B.full_.cols(), B.full_.rows());
-      la::transpose_into(la::ConstMatrixView<T>(B.full_.view()),
-                         out.V.view());
+      if (d)
+        for (index_t c = 0; c < out.U.cols(); ++c)
+          for (index_t i = 0; i < out.U.rows(); ++i) out.U(i, c) *= d[c];
+      out.V = op == la::Op::kTrans ? B.full_ : transposed(B.full_);
       la::truncate_rk(out, eps);
       return out;
     }
@@ -1381,12 +1180,14 @@ class HMatrix {
       index_t total_rank = 0;
       for (int i = 0; i < 2; ++i)
         for (int j = 0; j < 2; ++j) {
-          auto r0 = multiply_to_rk(A.child(i, 0), B.child(0, j));
-          auto r1 = multiply_to_rk(A.child(i, 1), B.child(1, j));
+          auto r0 = multiply_to_rk(A.child(i, 0), diag_part(d, A, 0),
+                                   op_child(B, op, 0, j), op);
+          auto r1 = multiply_to_rk(A.child(i, 1), diag_part(d, A, 1),
+                                   op_child(B, op, 1, j), op);
           // Merge the two contributions of this quadrant.
           la::RkFactors<T> q;
           const index_t m = A.child(i, 0).rows();
-          const index_t n = B.child(0, j).cols();
+          const index_t n = op_cols(op_child(B, op, 0, j), op);
           q.U = la::Matrix<T>(m, r0.rank() + r1.rank());
           q.V = la::Matrix<T>(n, r0.rank() + r1.rank());
           if (r0.rank() > 0) {
@@ -1403,7 +1204,8 @@ class HMatrix {
         }
       // Assemble the 2x2 quadrants into one factorization.
       const index_t m0 = A.child(0, 0).rows(), m1 = A.child(1, 0).rows();
-      const index_t n0 = B.child(0, 0).cols(), n1 = B.child(0, 1).cols();
+      const index_t n0 = op_cols(op_child(B, op, 0, 0), op);
+      const index_t n1 = op_cols(op_child(B, op, 0, 1), op);
       out.U = la::Matrix<T>(m0 + m1, total_rank);
       out.V = la::Matrix<T>(n0 + n1, total_rank);
       index_t at = 0;
@@ -1421,24 +1223,23 @@ class HMatrix {
       return out;
     }
     // Mixed Full x Node: A dense with few rows (its row cluster is a leaf,
-    // its column cluster is not). Rank is bounded by A's row count.
+    // its column cluster is not). Rank is bounded by A's row count:
+    // factors (I, op(B)^T (D A^T)).
     if (A.kind_ == Kind::kFull && B.kind_ == Kind::kNode) {
       const index_t m = A.rows();
-      la::Matrix<T> At(A.cols(), m);
-      for (index_t j = 0; j < A.cols(); ++j)
-        for (index_t i = 0; i < m; ++i) At(j, i) = A.full_(i, j);
-      out.V = la::Matrix<T>(B.cols(), m);  // V = (A B)^T = B^T A^T
-      B.mult_add(T{1}, la::ConstMatrixView<T>(At.view()), out.V.view(),
-                 la::Op::kTrans);
+      out.V = la::Matrix<T>(op_cols(B, op), m);
+      B.mult_add(T{1}, scaled(d, A.full_, la::Op::kTrans, buf), out.V.view(),
+                 flip);
       out.U = la::Matrix<T>::identity(m);
       la::truncate_rk(out, eps);
       return out;
     }
-    // Mixed Node x Full: B dense with few columns.
+    // Mixed Node x Full: op(B) dense with few columns; factors
+    // (A D op(B), I).
     if (A.kind_ == Kind::kNode && B.kind_ == Kind::kFull) {
-      const index_t n = B.cols();
+      const index_t n = op_cols(B, op);
       out.U = la::Matrix<T>(A.rows(), n);
-      A.mult_add(T{1}, la::ConstMatrixView<T>(B.full_.view()), out.U.view(),
+      A.mult_add(T{1}, scaled(d, B.full_, op, buf), out.U.view(),
                  la::Op::kNoTrans);
       out.V = la::Matrix<T>::identity(n);
       la::truncate_rk(out, eps);

@@ -490,36 +490,51 @@ TEST(HMatrix, StatsAreConsistent) {
   EXPECT_LT(H.compression_ratio(), 1.0);
 }
 
-// Structure sweep: H-LU must stay correct for every admissibility /
-// leaf-size combination (different trees exercise different gemm_h and
-// solve dispatch paths).
+// Structure sweep: H-LU and H-LDL^T must stay correct for every
+// admissibility / leaf-size combination (different trees exercise different
+// gemm and solve dispatch paths: mixed Full x Node products, transposed
+// operands under H-LDL^T). The Laplace kernel is symmetric, so both
+// factorizations apply.
 class HStructureSweep
-    : public ::testing::TestWithParam<std::tuple<double, int>> {};
+    : public ::testing::TestWithParam<std::tuple<double, int>> {
+ protected:
+  void check_solve(bool ldlt) {
+    const auto [eta, leaf] = GetParam();
+    auto pts = cylinder_points(18, 12);
+    LaplaceKernel gen(pts, 2.0);
+    ClusterTree tree(pts, leaf);
+    HOptions opt;
+    opt.eps = 1e-8;
+    opt.eta = eta;
+    auto H = HMatrix<double>::assemble(tree, tree, gen, opt);
+    auto ref = dense_tree_ordered<double>(gen, tree, tree);
+
+    const index_t n = H.rows();
+    Rng rng(17);
+    Matrix<double> X(n, 2);
+    for (index_t j = 0; j < 2; ++j)
+      for (index_t i = 0; i < n; ++i) X(i, j) = rng.uniform(-1, 1);
+    Matrix<double> B(n, 2);
+    la::gemm(1.0, ConstMatrixView<double>(ref.view()), la::Op::kNoTrans,
+             ConstMatrixView<double>(X.view()), la::Op::kNoTrans, 0.0,
+             B.view());
+    if (ldlt) {
+      H.ldlt_factorize();
+    } else {
+      H.lu_factorize();
+    }
+    H.solve(B.view());
+    EXPECT_LT(rel_diff<double>(B.view(), X.view()), 1e-4)
+        << (ldlt ? "H-LDLT" : "H-LU") << " eta=" << eta << " leaf=" << leaf;
+  }
+};
 
 TEST_P(HStructureSweep, LuSolveCorrectAcrossStructures) {
-  const auto [eta, leaf] = GetParam();
-  auto pts = cylinder_points(18, 12);
-  LaplaceKernel gen(pts, 2.0);
-  ClusterTree tree(pts, leaf);
-  HOptions opt;
-  opt.eps = 1e-8;
-  opt.eta = eta;
-  auto H = HMatrix<double>::assemble(tree, tree, gen, opt);
-  auto ref = dense_tree_ordered<double>(gen, tree, tree);
+  check_solve(/*ldlt=*/false);
+}
 
-  const index_t n = H.rows();
-  Rng rng(17);
-  Matrix<double> X(n, 2);
-  for (index_t j = 0; j < 2; ++j)
-    for (index_t i = 0; i < n; ++i) X(i, j) = rng.uniform(-1, 1);
-  Matrix<double> B(n, 2);
-  la::gemm(1.0, ConstMatrixView<double>(ref.view()), la::Op::kNoTrans,
-           ConstMatrixView<double>(X.view()), la::Op::kNoTrans, 0.0,
-           B.view());
-  H.lu_factorize();
-  H.solve(B.view());
-  EXPECT_LT(rel_diff<double>(B.view(), X.view()), 1e-4)
-      << "eta=" << eta << " leaf=" << leaf;
+TEST_P(HStructureSweep, LdltSolveCorrectAcrossStructures) {
+  check_solve(/*ldlt=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -180,9 +180,12 @@ TEST(TaskHelpers, BoundedQueueCancelUnblocksProducer) {
 }
 
 TEST(ParallelHlu, FactorizationIdenticalAcrossThreadCounts) {
-  // The task-parallel H-LU spawns independent off-diagonal solves and
-  // GEMM quadrants, but each block keeps its serial accumulation order:
-  // the factors -- and therefore the solves -- are bitwise identical.
+  // The task-parallel H-LU and H-LDL^T spawn independent off-diagonal
+  // solves and GEMM quadrants (the H-LDL^T ones D-scaled, with a
+  // transposed right operand), but each block keeps its serial
+  // accumulation order: the factors -- and therefore the solves -- are
+  // bitwise identical at any thread count. A_ss is symmetric, so both
+  // factorizations apply.
   auto sys = fembem::make_pipe_system<double>({.total_unknowns = 3000});
   hmat::ClusterTree tree(sys.surface_points(), 48);
   hmat::HOptions opt;
@@ -193,23 +196,28 @@ TEST(ParallelHlu, FactorizationIdenticalAcrossThreadCounts) {
   Rng rng(7);
   for (index_t i = 0; i < n; ++i) b(i, 0) = rng.uniform(-1, 1);
 
-  Matrix<double> x_serial, x_parallel;
-  {
-    ScopedNumThreads threads(1);
+  const auto factor_and_solve = [&](bool ldlt, int threads) {
+    ScopedNumThreads scoped(threads);
     auto H = hmat::HMatrix<double>::assemble(tree, tree, *sys.A_ss, opt);
-    H.lu_factorize();
-    x_serial = b;
-    H.solve(x_serial.view());
+    if (ldlt) {
+      H.ldlt_factorize();
+    } else {
+      H.lu_factorize();
+    }
+    Matrix<double> x = b;
+    H.solve(x.view());
+    return x;
+  };
+  for (bool ldlt : {false, true}) {
+    const Matrix<double> x_serial = factor_and_solve(ldlt, 1);
+    for (int threads : {2, 4, 8}) {
+      const Matrix<double> x_parallel = factor_and_solve(ldlt, threads);
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_EQ(x_serial(i, 0), x_parallel(i, 0))
+            << (ldlt ? "H-LDLT" : "H-LU") << " threads=" << threads
+            << " row " << i;
+    }
   }
-  {
-    ScopedNumThreads threads(4);
-    auto H = hmat::HMatrix<double>::assemble(tree, tree, *sys.A_ss, opt);
-    H.lu_factorize();
-    x_parallel = b;
-    H.solve(x_parallel.view());
-  }
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_EQ(x_serial(i, 0), x_parallel(i, 0)) << "row " << i;
 }
 
 TEST(ParallelAssembly, BudgetFailurePropagatesFromLeafLoop) {
