@@ -83,7 +83,8 @@ inline std::string sci(double v) {
 }
 
 /// Shared observability surface of every bench driver: --report collects
-/// each run's Config + SolveStats into one JSON file, --trace records all
+/// each run's Config, SolveStats and metrics into one run report
+/// (coupled/report.h), --trace records all
 /// runs of the invocation into one Chrome-trace file (open in Perfetto /
 /// chrome://tracing), --trace-sample-us sets the memory-timeline sampling
 /// period. Construct one per driver after CliArgs::check() and call
@@ -91,7 +92,7 @@ inline std::string sci(double v) {
 class Observability {
  public:
   static void describe(CliArgs& args) {
-    args.describe("report", "write per-run Config+SolveStats JSON here");
+    args.describe("report", "write the per-run report JSON here");
     args.describe("trace",
                   "write a Chrome trace (Perfetto-loadable) of all runs "
                   "here");
@@ -124,6 +125,14 @@ class Observability {
     report_.add(label, config_desc, cfg, stats);
   }
 
+  /// A run without SolveStats of its own (see RunReport::add).
+  void add(const std::string& label, const std::string& config_desc,
+           const coupled::Config* cfg, bool success,
+           const coupled::RunMetrics& metrics,
+           const std::string& detail = "") {
+    report_.add(label, config_desc, cfg, success, metrics, detail);
+  }
+
   /// Flush the report and trace files (idempotent).
   void finish() {
     if (done_) return;
@@ -136,10 +145,7 @@ class Observability {
                  trace_path_);
       tracer.set_enabled(false);
     }
-    // Drivers with a bespoke flat report shape (bench_solve, bench_sweep)
-    // write --report themselves and never add() runs; an empty RunReport
-    // must not clobber their file.
-    if (!report_path_.empty() && report_.size() > 0) {
+    if (!report_path_.empty()) {
       if (report_.write(report_path_))
         log_info("report: wrote ", report_.size(), " runs to ",
                  report_path_);

@@ -7,8 +7,9 @@
 // at concurrency must beat the one-column-at-a-time service by a wide
 // margin (CI asserts >= 2x at concurrency 16) while every answer stays
 // bitwise identical to a direct single-RHS solve. --report writes a
-// "serve" JSON (cs-report renders it); --socket drives an external
-// cs-served daemon over its unix socket instead of an in-process service.
+// RunReport with one run per mode (cs-report renders it); --socket drives
+// an external cs-served daemon over its unix socket instead of an
+// in-process service.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -138,23 +139,28 @@ LoadResult run_pass(SolverService& service, const SceneSpec& scene,
   return out;
 }
 
-std::string mode_json(const char* mode, const LoadResult& r) {
-  std::string out = "{\"mode\":\"" + std::string(mode) + "\"";
-  out += ",\"requests\":" + std::to_string(r.requests);
-  out += ",\"failures\":" + std::to_string(r.failures);
-  out += ",\"mismatches\":" + std::to_string(r.mismatches);
-  out += ",\"seconds\":" + json::number(r.seconds);
-  out += ",\"requests_per_second\":" + json::number(r.rps);
-  out += ",\"p50_ms\":" + json::number(r.p50_ms);
-  out += ",\"p99_ms\":" + json::number(r.p99_ms);
-  out += ",\"max_batch_columns\":" + std::to_string(r.max_batch);
-  out += ",\"cache_hits\":" + std::to_string(r.hits);
-  out += ",\"cache_misses\":" + std::to_string(r.misses);
-  out += ",\"factorizations\":" + std::to_string(r.factorizations);
-  out += ",\"coalesced_batches\":" + std::to_string(r.batches);
-  out += ",\"coalesced_columns\":" + std::to_string(r.columns);
-  out += "}";
-  return out;
+/// One pass's numbers as run metrics.
+coupled::RunMetrics load_metrics(const LoadResult& r) {
+  auto d = [](auto v) { return static_cast<double>(v); };
+  return {{"requests", d(r.requests)},
+          {"failures", d(r.failures)},
+          {"mismatches", d(r.mismatches)},
+          {"seconds", r.seconds},
+          {"requests_per_second", r.rps},
+          {"p50_ms", r.p50_ms},
+          {"p99_ms", r.p99_ms},
+          {"max_batch_columns", d(r.max_batch)},
+          {"cache_hits", d(r.hits)},
+          {"cache_misses", d(r.misses)},
+          {"factorizations", d(r.factorizations)},
+          {"coalesced_batches", d(r.batches)},
+          {"coalesced_columns", d(r.columns)}};
+}
+
+/// A pass succeeds when every request was answered and every answer
+/// matched bitwise.
+bool load_ok(const LoadResult& r) {
+  return r.failures == 0 && r.mismatches == 0;
 }
 
 void print_row(TablePrinter& table, const char* mode, const LoadResult& r) {
@@ -170,8 +176,9 @@ void print_row(TablePrinter& table, const char* mode, const LoadResult& r) {
 /// ServeClient per worker against a cs-served unix socket. Identical
 /// columns must come back bitwise identical across requests (the daemon
 /// solves them through one cached factorization).
-int run_socket_mode(CliArgs& args, const SceneSpec& scene, int concurrency,
-                    int requests, const std::string& socket_path) {
+int run_socket_mode(CliArgs& args, bench::Observability& obs,
+                    const SceneSpec& scene, int concurrency, int requests,
+                    const std::string& socket_path) {
   server::ServeClient probe;
   probe.connect_unix(socket_path);
   probe.ping();
@@ -250,54 +257,34 @@ int run_socket_mode(CliArgs& args, const SceneSpec& scene, int concurrency,
               failures.load(), mismatches.load());
   std::printf("daemon stats: %s\n", stats.c_str());
 
-  if (failures.load() > 0 || mismatches.load() > 0)
-    ++bench::unexpected_failures();
-
-  const std::string report_path = args.get("report", "");
-  if (!report_path.empty()) {
-    LoadResult lr;
-    lr.requests = requests;
-    lr.failures = failures.load();
-    lr.mismatches = mismatches.load();
-    lr.seconds = seconds;
-    lr.rps = seconds > 0 ? requests / seconds : 0;
-    lr.p50_ms = percentile(latencies_ms, 0.5);
-    lr.p99_ms = percentile(latencies_ms, 0.99);
-    lr.max_batch = static_cast<index_t>(max_batch.load());
-    // The cache/coalescer counters live daemon-side; lift them out of the
-    // stats reply so the "serve" row carries them like in-process mode.
-    json::Value daemon;
-    std::string err;
-    if (json::parse(stats, &daemon, &err)) {
-      auto u64 = [&](const char* key) {
-        const json::Value* v = daemon.find(key);
-        return v != nullptr && v->is_number()
-                   ? static_cast<std::uint64_t>(v->number)
-                   : 0u;
-      };
-      lr.hits = u64("cache_hit");
-      lr.misses = u64("cache_miss");
-      lr.factorizations = u64("factorizations");
-      lr.batches = u64("coalesced_batches");
-      lr.columns = u64("coalesced_columns");
-    }
-    std::string out = "{\"binary\":\"bench_serve\"";
-    out += ",\"n_total\":" + std::to_string(scene.total_unknowns);
-    out += ",\"nv\":" + std::to_string(d.nv);
-    out += ",\"ns\":" + std::to_string(d.ns);
-    out += ",\"concurrency\":" + std::to_string(concurrency);
-    out += ",\"socket\":\"" + socket_path + "\"";
-    out += ",\"daemon_stats\":" + stats;
-    out += ",\"serve\":[" + mode_json("socket", lr) + "]}\n";
-    FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f == nullptr) {
-      log_error("[serve] cannot write report to ", report_path);
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    log_info("[serve] report written to ", report_path);
+  LoadResult lr;
+  lr.requests = requests;
+  lr.failures = failures.load();
+  lr.mismatches = mismatches.load();
+  lr.seconds = seconds;
+  lr.rps = seconds > 0 ? requests / seconds : 0;
+  lr.p50_ms = percentile(latencies_ms, 0.5);
+  lr.p99_ms = percentile(latencies_ms, 0.99);
+  lr.max_batch = static_cast<index_t>(max_batch.load());
+  // The cache/coalescer counters live daemon-side; lift them out of the
+  // stats reply so the socket run carries them like an in-process pass.
+  json::Value daemon;
+  std::string err;
+  if (json::parse(stats, &daemon, &err)) {
+    auto u64 = [&](const char* key) {
+      const json::Value* v = daemon.find(key);
+      return v != nullptr && v->is_number()
+                 ? static_cast<std::uint64_t>(v->number)
+                 : 0u;
+    };
+    lr.hits = u64("cache_hit");
+    lr.misses = u64("cache_miss");
+    lr.factorizations = u64("factorizations");
+    lr.batches = u64("coalesced_batches");
+    lr.columns = u64("coalesced_columns");
   }
+  if (!load_ok(lr)) ++bench::unexpected_failures();
+  obs.add("socket", "cs-served", nullptr, load_ok(lr), load_metrics(lr));
   if (args.get_bool("shutdown-daemon", false)) {
     log_info("[serve] asking the daemon to shut down");
     probe.shutdown_server();
@@ -338,7 +325,8 @@ int main(int argc, char** argv) {
 
   const std::string socket_path = args.get("socket", "");
   if (!socket_path.empty())
-    return run_socket_mode(args, scene, concurrency, requests, socket_path);
+    return run_socket_mode(args, obs, scene, concurrency, requests,
+                           socket_path);
 
   ServeOptions opts;
   opts.solver.strategy = bench::strategy_by_name(
@@ -419,7 +407,7 @@ int main(int argc, char** argv) {
   // pass including warm-up), and every reply must be bitwise right.
   bool valid = true;
   for (const LoadResult* r : {&uncoalesced, &coalesced}) {
-    if (r->failures > 0 || r->mismatches > 0) {
+    if (!load_ok(*r)) {
       std::fprintf(stderr, "VALIDATION: %d failures, %d bitwise mismatches\n",
                    r->failures, r->mismatches);
       valid = false;
@@ -439,27 +427,10 @@ int main(int argc, char** argv) {
   }
   if (!valid) ++bench::unexpected_failures();
 
-  const std::string report_path = args.get("report", "");
-  if (!report_path.empty()) {
-    std::string out = "{\"binary\":\"bench_serve\"";
-    out += ",\"strategy\":\"" +
-           std::string(coupled::strategy_name(opts.solver.strategy)) + "\"";
-    out += ",\"n_total\":" + std::to_string(scene.total_unknowns);
-    out += ",\"nv\":" + std::to_string(nv);
-    out += ",\"ns\":" + std::to_string(ns);
-    out += ",\"concurrency\":" + std::to_string(concurrency);
-    out += ",\"coalesce_window_us\":" + std::to_string(opts.coalesce_window_us);
-    out += ",\"coalesced_speedup\":" + json::number(speedup);
-    out += ",\"serve\":[" + mode_json("uncoalesced", uncoalesced) + "," +
-           mode_json("coalesced", coalesced) + "]}\n";
-    FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f == nullptr) {
-      log_error("[serve] cannot write report to ", report_path);
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    log_info("[serve] report written to ", report_path);
-  }
+  const std::string strategy = coupled::strategy_name(opts.solver.strategy);
+  obs.add("uncoalesced", strategy, &opts.solver, load_ok(uncoalesced),
+          load_metrics(uncoalesced));
+  obs.add("coalesced", strategy, &opts.solver, load_ok(coalesced),
+          load_metrics(coalesced));
   return bench::exit_status();
 }

@@ -6,14 +6,13 @@
 // and the ACA cross-product counts for both. The "many frequencies, few
 // factorizations" claim is the whole point: the recycled sweep must do
 // measurably less work per frequency at the same accuracy. --report
-// writes both sweeps' per-frequency JSON; CI asserts recycled wall-clock
-// < 0.6x naive and factorizations < k on it.
+// writes a RunReport with one run per mode and one per recycled frequency;
+// CI asserts recycled wall-clock < 0.6x naive and factorizations < k on it.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/json.h"
 #include "coupled/sweep.h"
 #include "fembem/shifted.h"
 
@@ -25,13 +24,21 @@ using coupled::SweepStats;
 
 namespace {
 
+double counter(const coupled::SweepFrequencyStats& f, const char* name) {
+  auto it = f.counters.find(name);
+  return it != f.counters.end() ? it->second : 0.0;
+}
+
 double counter_sum(const SweepStats& sw, const char* name) {
   double total = 0;
-  for (const auto& f : sw.freqs) {
-    auto it = f.counters.find(name);
-    if (it != f.counters.end()) total += it->second;
-  }
+  for (const auto& f : sw.freqs) total += counter(f, name);
   return total;
+}
+
+double worst_error(const SweepStats& sw) {
+  double worst = 0;
+  for (const auto& f : sw.freqs) worst = std::max(worst, f.relative_error);
+  return worst;
 }
 
 }  // namespace
@@ -108,16 +115,22 @@ int main(int argc, char** argv) {
   TablePrinter table({"mode", "s/freq", "total s", "factorizations",
                       "lagged", "aca crosses", "worst rel err"});
   auto add_mode = [&](const char* mode, const SweepStats& sw) {
-    double worst = 0;
-    for (const auto& f : sw.freqs)
-      worst = std::max(worst, f.relative_error);
+    const double aca_crosses = counter_sum(sw, "aca.iterations");
     table.add_row({mode, TablePrinter::fmt(sw.seconds_per_frequency, 3),
                    TablePrinter::fmt(sw.total_seconds, 2),
                    TablePrinter::fmt_int(sw.factorizations),
                    TablePrinter::fmt_int(sw.lagged_solves),
-                   TablePrinter::fmt_int(static_cast<long long>(
-                       counter_sum(sw, "aca.iterations"))),
-                   bench::sci(worst)});
+                   TablePrinter::fmt_int(static_cast<long long>(aca_crosses)),
+                   bench::sci(worst_error(sw))});
+    obs.add(mode, "summary", &cfg, sw.success,
+            {{"frequencies", static_cast<double>(omegas.size())},
+             {"seconds_per_frequency", sw.seconds_per_frequency},
+             {"total_seconds", sw.total_seconds},
+             {"factorizations", static_cast<double>(sw.factorizations)},
+             {"lagged_solves", static_cast<double>(sw.lagged_solves)},
+             {"aca_crosses", aca_crosses},
+             {"worst_relative_error", worst_error(sw)}},
+            sw.failure);
   };
   add_mode("naive", naive);
   add_mode("recycled", recycled);
@@ -131,10 +144,22 @@ int main(int argc, char** argv) {
   std::printf("\nrecycled sweep per frequency:\n");
   std::printf("  %8s %10s %14s %8s %12s\n", "omega", "s", "served by",
               "sweeps", "rel err");
-  for (const auto& f : recycled.freqs)
+  for (const auto& f : recycled.freqs) {
     std::printf("  %8.3f %10.3f %14s %8d %12.2e\n", f.omega, f.seconds,
                 f.lagged ? "lagged" : "refactorized", f.refine_sweeps,
                 f.relative_error);
+    char omega[32];
+    std::snprintf(omega, sizeof(omega), "omega=%g", f.omega);
+    obs.add("recycled", omega, &cfg, true,
+            {{"omega", f.omega},
+             {"seconds", f.seconds},
+             {"lagged", f.lagged ? 1.0 : 0.0},
+             {"refactorized", f.refactorized ? 1.0 : 0.0},
+             {"refine_sweeps", static_cast<double>(f.refine_sweeps)},
+             {"relative_error", f.relative_error},
+             {"aca_crosses", counter(f, "aca.iterations")}},
+            f.fallback_reason);
+  }
 
   const double speedup = recycled.total_seconds > 0
                              ? naive.total_seconds / recycled.total_seconds
@@ -156,9 +181,7 @@ int main(int argc, char** argv) {
                  "frequency (no lagged service)\n");
     valid = false;
   }
-  double worst_recycled = 0;
-  for (const auto& f : recycled.freqs)
-    worst_recycled = std::max(worst_recycled, f.relative_error);
+  const double worst_recycled = worst_error(recycled);
   if (valid && cfg.refine_tolerance > 0 &&
       worst_recycled > 100 * cfg.refine_tolerance) {
     std::fprintf(stderr,
@@ -169,33 +192,6 @@ int main(int argc, char** argv) {
   }
   if (!valid) ++bench::unexpected_failures();
 
-  // Flat report: both sweeps side by side, distinguishable from the
-  // RunReport shape by the "freq_sweep" key (cs-report renders it).
-  const std::string report_path = args.get("report", "");
-  if (!report_path.empty()) {
-    std::string out = "{\"binary\":\"bench_sweep\"";
-    out += ",\"strategy\":\"" +
-           std::string(coupled::strategy_name(cfg.strategy)) + "\"";
-    out += ",\"n_total\":" + std::to_string(family.total());
-    out += ",\"n_fem\":" + std::to_string(family.nv());
-    out += ",\"n_bem\":" + std::to_string(family.ns());
-    out += ",\"frequencies\":" + std::to_string(omegas.size());
-    out += ",\"speedup_recycled_vs_naive\":" + json::number(speedup);
-    out += ",\"freq_sweep\":[";
-    out += "{\"mode\":\"naive\",\"stats\":" +
-           coupled::sweep_stats_json(naive) + "},";
-    out += "{\"mode\":\"recycled\",\"stats\":" +
-           coupled::sweep_stats_json(recycled) + "}";
-    out += "]}\n";
-    std::FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      log_info("report: wrote sweep report to ", report_path);
-    } else {
-      log_warn("report: cannot open ", report_path, " for writing");
-    }
-  }
   obs.finish();
   return bench::exit_status();
 }

@@ -547,6 +547,59 @@ struct BatchOverride {
   double refine_tolerance = 0;
 };
 
+/// One application of the factored coupled inverse (paper eq. (7)) to an
+/// nrhs-column block (R_v, R_s) in caller coordinates:
+///   X_s = S^{-1} (R_s - A_sv A_vv^{-1} R_v),
+///   X_v = A_vv^{-1} (R_v - A_sv^T X_s).
+/// Returns {X_v, X_s}, X_s in surface tree order; solve_batch assigns it
+/// (the direct solve) or adds it (a refinement correction). Every call
+/// records the solution.interior_solve and solution.schur_solve stages, so
+/// a correction's share nests inside its solution.refine sweep.
+template <class T>
+std::pair<Matrix<T>, Matrix<T>> apply_inverse(
+    const detail::FactoredImpl<T>& f, la::ConstMatrixView<T> R_v,
+    la::ConstMatrixView<T> R_s, SolveStats& stats) {
+  const index_t nv = R_v.rows();
+  const index_t ns = R_s.rows();
+  const index_t nrhs = R_v.cols();
+  const auto& perm = f.tree->tree_of_original();
+
+  // y_v = A_vv^{-1} R_v.
+  Matrix<T> yv(nv, nrhs);
+  {
+    auto stage = Timed::stage(stats, "solution.interior_solve");
+    stage.span().arg("nrhs", static_cast<long long>(nrhs));
+    yv.view().copy_from(R_v);
+    f.interior_solve(yv.view());
+  }
+
+  // T = R_s - A_sv y_v (tree order).
+  Matrix<T> t(ns, nrhs);
+  for (index_t j = 0; j < nrhs; ++j)
+    for (index_t i = 0; i < ns; ++i)
+      t(perm[static_cast<std::size_t>(i)], j) = R_s(i, j);
+  f.A_sv_tree.spmm(T{-1}, la::ConstMatrixView<T>(yv.view()), T{1}, t.view());
+
+  // X_s = S^{-1} T.
+  {
+    auto stage = Timed::stage(stats, "solution.schur_solve");
+    stage.span().arg("nrhs", static_cast<long long>(nrhs));
+    f.schur_solve(t.view());
+  }
+
+  // X_v = A_vv^{-1} (R_v - A_sv^T X_s).
+  Matrix<T> xv(nv, nrhs);
+  {
+    auto stage = Timed::stage(stats, "solution.interior_solve");
+    stage.span().arg("nrhs", static_cast<long long>(nrhs));
+    xv.view().copy_from(R_v);
+    f.A_sv_tree.spmm_trans(T{-1}, la::ConstMatrixView<T>(t.view()), T{1},
+                           xv.view());
+    f.interior_solve(xv.view());
+  }
+  return {std::move(xv), std::move(t)};
+}
+
 /// Common solution sequence (paper eq. (7)), generalized to an nrhs-column
 /// block: forms the reduced right-hand side, solves the Schur system,
 /// back-substitutes and optionally refines — all on blocks. On entry
@@ -570,7 +623,6 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   // refinement corrections, solve transients) is RHS workspace.
   MemoryScope mem_scope(MemTag::kRhsWorkspace);
 
-  const auto& perm = f.tree->tree_of_original();
   const auto& orig = f.tree->original_of_tree();
 
   const int refine_its =
@@ -590,48 +642,14 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
   }
 
   {
-    // y_v = A_vv^{-1} B_v.
-    Matrix<T> yv(nv, nrhs);
-    {
-      auto stage = Timed::stage(stats, "solution.interior_solve");
-      stage.span().arg("nrhs", static_cast<long long>(nrhs));
-      yv.view().copy_from(la::ConstMatrixView<T>(B_v));
-      f.interior_solve(yv.view());
-    }
-
-    // T = B_s - A_sv Y_v (tree order).
-    Matrix<T> t(ns, nrhs);
-    for (index_t j = 0; j < nrhs; ++j)
-      for (index_t i = 0; i < ns; ++i)
-        t(perm[static_cast<std::size_t>(i)], j) = B_s(i, j);
-    f.A_sv_tree.spmm(T{-1}, la::ConstMatrixView<T>(yv.view()), T{1},
-                     t.view());
-
-    // X_s = S^{-1} T.
-    {
-      auto stage = Timed::stage(stats, "solution.schur_solve");
-      stage.span().arg("nrhs", static_cast<long long>(nrhs));
-      f.schur_solve(t.view());
-    }
-
-    // X_v = A_vv^{-1} (B_v - A_sv^T X_s).
-    Matrix<T> rv(nv, nrhs);
-    {
-      auto stage = Timed::stage(stats, "solution.interior_solve");
-      stage.span().arg("nrhs", static_cast<long long>(nrhs));
-      rv.view().copy_from(la::ConstMatrixView<T>(B_v));
-      f.A_sv_tree.spmm_trans(T{-1}, la::ConstMatrixView<T>(t.view()), T{1},
-                             rv.view());
-      f.interior_solve(rv.view());
-    }
-
-    // Scatter the solution into the caller's views; the direct-solve
-    // transients (yv, t, rv) are released before refinement allocates its
-    // own blocks (see planner.h solve_batch_bytes).
+    // The direct-solve transients are released before refinement
+    // allocates its own blocks (see planner.h solve_batch_bytes).
+    auto [xv, xs] = apply_inverse(f, la::ConstMatrixView<T>(B_v),
+                                  la::ConstMatrixView<T>(B_s), stats);
     for (index_t j = 0; j < nrhs; ++j) {
-      for (index_t i = 0; i < nv; ++i) B_v(i, j) = rv(i, j);
+      for (index_t i = 0; i < nv; ++i) B_v(i, j) = xv(i, j);
       for (index_t p = 0; p < ns; ++p)
-        B_s(orig[static_cast<std::size_t>(p)], j) = t(p, j);
+        B_s(orig[static_cast<std::size_t>(p)], j) = xs(p, j);
     }
   }
 
@@ -727,22 +745,8 @@ void solve_batch(const detail::FactoredImpl<T>& f, MatrixView<T> B_v,
     prev_worst = worst;
 
     // Corrections through the same factorizations.
-    Matrix<T> dy(nv, nrhs);
-    dy.view().copy_from(la::ConstMatrixView<T>(Rv.view()));
-    f.interior_solve(dy.view());
-    Matrix<T> dt(ns, nrhs);
-    for (index_t j = 0; j < nrhs; ++j)
-      for (index_t i = 0; i < ns; ++i)
-        dt(perm[static_cast<std::size_t>(i)], j) = Rs(i, j);
-    f.A_sv_tree.spmm(T{-1}, la::ConstMatrixView<T>(dy.view()), T{1},
-                     dt.view());
-    f.schur_solve(dt.view());
-    Matrix<T> dv(nv, nrhs);
-    dv.view().copy_from(la::ConstMatrixView<T>(Rv.view()));
-    f.A_sv_tree.spmm_trans(T{-1}, la::ConstMatrixView<T>(dt.view()), T{1},
-                           dv.view());
-    f.interior_solve(dv.view());
-
+    auto [dv, dt] = apply_inverse(f, la::ConstMatrixView<T>(Rv.view()),
+                                  la::ConstMatrixView<T>(Rs.view()), stats);
     for (index_t j = 0; j < nrhs; ++j) {
       for (index_t i = 0; i < nv; ++i) B_v(i, j) += dv(i, j);
       for (index_t p = 0; p < ns; ++p)

@@ -136,9 +136,20 @@ std::string config_json(const Config& config) {
 }
 
 void RunReport::add(const std::string& label, const std::string& config_desc,
-                    const Config& config, const SolveStats& stats) {
+                    const Config& config, const SolveStats& stats,
+                    const RunMetrics& metrics, const std::string& detail) {
   entries_.push_back(Entry{label, config_desc, coupled::config_json(config),
-                           coupled::stats_json(stats)});
+                           coupled::stats_json(stats), stats.success, detail,
+                           metrics});
+}
+
+void RunReport::add(const std::string& label, const std::string& config_desc,
+                    const Config* config, bool success,
+                    const RunMetrics& metrics, const std::string& detail) {
+  entries_.push_back(Entry{label, config_desc,
+                           config != nullptr ? coupled::config_json(*config)
+                                             : std::string(),
+                           std::string(), success, detail, metrics});
 }
 
 std::string RunReport::json() const {
@@ -148,9 +159,24 @@ std::string RunReport::json() const {
     if (!first) out += ",\n";
     first = false;
     out += "{\"label\":" + str(e.label) +
-           ",\"config_desc\":" + str(e.config_desc) +
-           ",\"config\":" + e.config_json + ",\"stats\":" + e.stats_json +
-           "}";
+           ",\"config_desc\":" + str(e.config_desc);
+    if (!e.config_json.empty()) out += ",\"config\":" + e.config_json;
+    if (!e.stats_json.empty())
+      out += ",\"stats\":" + e.stats_json;
+    else
+      out += ",\"success\":" + std::string(e.success ? "true" : "false");
+    if (!e.detail.empty()) out += ",\"detail\":" + str(e.detail);
+    if (!e.metrics.empty()) {
+      out += ",\"metrics\":{";
+      bool first_metric = true;
+      for (const auto& [name, value] : e.metrics) {
+        if (!first_metric) out += ",";
+        first_metric = false;
+        out += str(name) + ":" + num(value);
+      }
+      out += "}";
+    }
+    out += "}";
   }
   out += "\n]}\n";
   return out;

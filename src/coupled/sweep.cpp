@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/json.h"
 #include "common/log.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -132,45 +131,6 @@ SweepStats SweepDriver<T>::run(const std::vector<double>& omegas) {
     sw.seconds_per_frequency =
         sw.total_seconds / static_cast<double>(sw.freqs.size());
   return sw;
-}
-
-std::string sweep_stats_json(const SweepStats& stats) {
-  auto str = [](const std::string& s) {
-    return "\"" + json::escape(s) + "\"";
-  };
-  std::string out = "{";
-  out += "\"success\":" + std::string(stats.success ? "true" : "false");
-  if (!stats.failure.empty()) out += ",\"failure\":" + str(stats.failure);
-  out += ",\"factorizations\":" + std::to_string(stats.factorizations);
-  out += ",\"lagged_solves\":" + std::to_string(stats.lagged_solves);
-  out += ",\"total_seconds\":" + json::number(stats.total_seconds);
-  out += ",\"seconds_per_frequency\":" +
-         json::number(stats.seconds_per_frequency);
-  out += ",\"freqs\":[";
-  bool first = true;
-  for (const SweepFrequencyStats& f : stats.freqs) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"omega\":" + json::number(f.omega);
-    out += ",\"refactorized\":" + std::string(f.refactorized ? "true"
-                                                             : "false");
-    out += ",\"lagged\":" + std::string(f.lagged ? "true" : "false");
-    if (!f.fallback_reason.empty())
-      out += ",\"fallback_reason\":" + str(f.fallback_reason);
-    out += ",\"seconds\":" + json::number(f.seconds);
-    out += ",\"relative_error\":" + json::number(f.relative_error);
-    out += ",\"refine_sweeps\":" + std::to_string(f.refine_sweeps);
-    out += ",\"counters\":{";
-    bool first_c = true;
-    for (const auto& [name, value] : f.counters) {
-      if (!first_c) out += ",";
-      first_c = false;
-      out += str(name) + ":" + json::number(value);
-    }
-    out += "}}";
-  }
-  out += "]}";
-  return out;
 }
 
 template class SweepDriver<double>;

@@ -182,11 +182,6 @@ struct SweepStats {
   std::vector<SweepFrequencyStats> freqs;
 };
 
-/// SweepStats as a JSON object (per-frequency rows + counters included);
-/// the element shape the cs-report sweep section and the CI recycling
-/// guard read.
-std::string sweep_stats_json(const SweepStats& stats);
-
 /// Drives one sweep over `family` at the given frequencies. Holds the
 /// most recent factorization (and the system it refines against) between
 /// frequencies; owns the SweepContext for the structural tiers.

@@ -1,6 +1,7 @@
 #include "tools/cs_report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -46,6 +47,43 @@ const json::Value* run_stats(const json::Value& run) {
   return s != nullptr && s->is_object() ? s : nullptr;
 }
 
+/// A run's outcome: its stats' success flag, or the run's own when it has
+/// no stats.
+bool run_ok(const json::Value& run) {
+  const json::Value* stats = run_stats(run);
+  const json::Value* success =
+      (stats != nullptr ? stats : &run)->find("success");
+  return success != nullptr && success->is_bool() && success->boolean;
+}
+
+/// "success", or "FAILED (why)" with the stats' failure or the run's
+/// detail as the reason.
+std::string run_status(const json::Value& run) {
+  if (run_ok(run)) return "success";
+  const json::Value* stats = run_stats(run);
+  const std::string why =
+      sstr(stats != nullptr ? stats->find("failure") : run.find("detail"), "");
+  return why.empty() ? "FAILED" : "FAILED (" + why + ")";
+}
+
+const json::Value* run_metrics(const json::Value& run) {
+  const json::Value* m = run.find("metrics");
+  return m != nullptr && m->is_object() && !m->object.empty() ? m : nullptr;
+}
+
+/// One metric value: integral values as integers, others to 4 significant
+/// digits, "-" for a null (non-finite) one.
+std::string metric_cell(const json::Value& v) {
+  if (!v.is_number()) return "-";
+  if (v.number == std::floor(v.number) && std::fabs(v.number) < 1e15)
+    return fmt("%.0f", v.number);
+  return fmt("%.4g", v.number);
+}
+
+int metric_width(const std::string& name) {
+  return std::max(10, static_cast<int>(name.size()));
+}
+
 /// Peak-attribution rows of one run, largest owner first.
 std::vector<std::pair<std::string, std::size_t>> tag_rows(
     const json::Value* stats) {
@@ -74,16 +112,15 @@ void append_run_analysis(std::string& out, const json::Value& run,
   const json::Value* config = run.find("config");
   out += fmt("-- run %zu: %s --\n", index + 1, run_key(run).c_str());
   if (stats == nullptr) {
-    out += "  (no stats object)\n\n";
+    // A metrics run states its outcome itself; its numbers are in the
+    // metrics table.
+    if (run.find("success") != nullptr)
+      out += fmt("  status     : %s\n\n", run_status(run).c_str());
+    else
+      out += "  (no stats object)\n\n";
     return;
   }
-  const json::Value* success = stats->find("success");
-  const bool ok = success != nullptr && success->is_bool() && success->boolean;
-  std::string status = ok ? "success" : "FAILED";
-  if (!ok) {
-    const std::string why = sstr(stats->find("failure"), "");
-    if (!why.empty()) status += " (" + why + ")";
-  }
+  const std::string status = run_status(run);
   const std::string strategy =
       config != nullptr ? sstr(config->find("strategy")) : "?";
   out += fmt("  strategy   : %s\n", strategy.c_str());
@@ -145,16 +182,6 @@ void append_run_analysis(std::string& out, const json::Value& run,
     out += fmt("  checkpoint : %s (%s)\n", ckpt_src->string.c_str(),
                ckpt_bytes > 0 ? format_bytes(ckpt_bytes).c_str() : "-");
   }
-  const json::Value* ckpt = stats->find("checkpoint");
-  if (ckpt != nullptr && ckpt->is_object()) {
-    const double save_s = dnum(ckpt->find("save_seconds"));
-    const double load_s = dnum(ckpt->find("load_seconds"));
-    const double speedup = dnum(ckpt->find("load_vs_factorize_speedup"));
-    out += fmt("  checkpoint : %s, save %.3f s, load %.3f s  (load %.1fx "
-               "faster than factorize)\n",
-               format_bytes(bnum(ckpt->find("bytes"))).c_str(), save_s,
-               load_s, speedup);
-  }
 
   // Hottest pipeline stages.
   const json::Value* stages = stats->find("stages");
@@ -173,210 +200,54 @@ void append_run_analysis(std::string& out, const json::Value& run,
   out += "\n";
 }
 
-/// Analysis of a flat bench_solve report (no "runs" array): the sweep
-/// table plus the checkpoint save/load timing section when present.
-std::string analyze_bench_report(const json::Value& report,
-                                 const ReportOptions&) {
-  std::string out;
-  out += fmt("== bench report: %s ==\n", sstr(report.find("binary")).c_str());
-  out += fmt("  strategy   : %s\n", sstr(report.find("strategy")).c_str());
-  out += fmt("  n          : %.0f  (fem %.0f, bem %.0f)\n",
-             dnum(report.find("n_total")), dnum(report.find("n_fem")),
-             dnum(report.find("n_bem")));
-  out += fmt("  factorize  : %.3f s\n",
-             dnum(report.find("factorize_seconds")));
-  const json::Value* ckpt = report.find("checkpoint");
-  if (ckpt != nullptr && ckpt->is_object()) {
-    const json::Value* ok = ckpt->find("ok");
-    const bool ckpt_ok = ok != nullptr && ok->is_bool() && ok->boolean;
-    out += fmt("  checkpoint : %s, save %.3f s, load %.3f s  (load %.1fx "
-               "faster than factorize)%s\n",
-               format_bytes(bnum(ckpt->find("bytes"))).c_str(),
-               dnum(ckpt->find("save_seconds")),
-               dnum(ckpt->find("load_seconds")),
-               dnum(ckpt->find("load_vs_factorize_speedup")),
-               ckpt_ok ? "" : "  FAILED");
-  } else {
-    out += "  checkpoint : -\n";
-  }
-  const json::Value* sweep = report.find("sweep");
-  if (sweep != nullptr && sweep->is_array() && !sweep->array.empty()) {
-    out += fmt("  %8s %10s %10s %16s %8s\n", "nrhs", "solve s", "solves/s",
-               "amortized s/rhs", "status");
-    for (const auto& p : sweep->array) {
-      out += fmt("  %8.0f %10.3f %10.1f %16.3f %8s\n",
-                 dnum(p.find("nrhs")), dnum(p.find("solve_seconds")),
-                 dnum(p.find("solves_per_sec")),
-                 dnum(p.find("amortized_seconds_per_rhs")),
-                 p.find("ok") != nullptr && p.find("ok")->is_bool() &&
-                         p.find("ok")->boolean
-                     ? "ok"
-                     : "FAILED");
+/// Every run's metrics as one table: a row per run, a column per metric,
+/// and a fresh header row wherever the metric names change (a sweep's mode
+/// runs and its per-frequency runs measure different things).
+void append_metrics_table(std::string& out, const json::Value& runs) {
+  int key_width = 34;
+  for (const auto& run : runs.array)
+    if (run_metrics(run) != nullptr)
+      key_width = std::max(key_width, static_cast<int>(run_key(run).size()));
+  std::vector<std::string> header;
+  for (const auto& run : runs.array) {
+    const json::Value* metrics = run_metrics(run);
+    if (metrics == nullptr) continue;
+    if (header.empty()) out += "\n== metrics ==\n";
+    std::vector<std::string> names;
+    for (const auto& [name, value] : metrics->object) names.push_back(name);
+    if (names != header) {
+      if (!header.empty()) out += "\n";
+      header = names;
+      out += fmt("  %-*s %-6s", key_width, "run", "status");
+      for (const std::string& name : names)
+        out += fmt(" %*s", metric_width(name), name.c_str());
+      out += "\n";
     }
+    out += fmt("  %-*s %-6s", key_width, run_key(run).c_str(),
+               run_ok(run) ? "ok" : "FAILED");
+    for (const auto& [name, value] : metrics->object)
+      out += fmt(" %*s", metric_width(name), metric_cell(value).c_str());
+    const std::string detail = sstr(run.find("detail"), "");
+    if (!detail.empty()) out += "  " + detail;
+    out += "\n";
   }
-  return out;
 }
 
-/// One mode entry ("naive" / "recycled") of a bench_sweep report, or
-/// nullptr. The stats object carries the SweepStats JSON.
-const json::Value* sweep_mode_stats(const json::Value& report,
-                                    const char* mode) {
-  const json::Value* fs = report.find("freq_sweep");
-  if (fs == nullptr || !fs->is_array()) return nullptr;
-  for (const auto& entry : fs->array) {
-    if (sstr(entry.find("mode"), "") == mode) {
-      const json::Value* stats = entry.find("stats");
-      if (stats != nullptr && stats->is_object()) return stats;
-    }
+/// A-vs-B rows for the metrics two matched runs share: both values and
+/// their B/A ratio ("-" where A is zero or a value is null).
+void append_metrics_diff(std::string& out, const json::Value& run_a,
+                         const json::Value& run_b) {
+  const json::Value* ma = run_metrics(run_a);
+  const json::Value* mb = run_metrics(run_b);
+  if (ma == nullptr || mb == nullptr) return;
+  for (const auto& [name, va] : ma->object) {
+    const json::Value* vb = mb->find(name);
+    if (vb == nullptr) continue;
+    const bool ratio = va.is_number() && vb->is_number() && va.number != 0;
+    out += fmt("    %-32s %10s %10s %6s\n", name.c_str(),
+               metric_cell(va).c_str(), metric_cell(*vb).c_str(),
+               ratio ? fmt("%.2f", vb->number / va.number).c_str() : "-");
   }
-  return nullptr;
-}
-
-double sweep_counter(const json::Value* stats, const char* name) {
-  if (stats == nullptr) return 0;
-  const json::Value* freqs = stats->find("freqs");
-  if (freqs == nullptr || !freqs->is_array()) return 0;
-  double total = 0;
-  for (const auto& f : freqs->array) {
-    const json::Value* counters = f.find("counters");
-    if (counters != nullptr && counters->is_object())
-      total += dnum(counters->find(name));
-  }
-  return total;
-}
-
-/// Analysis of a bench_sweep flat report ("freq_sweep" array): naive vs
-/// recycled summary, then the per-frequency service table of the recycled
-/// sweep — which tier served each frequency and at what cost.
-std::string analyze_freq_sweep_report(const json::Value& report,
-                                      const ReportOptions&) {
-  std::string out;
-  out += fmt("== frequency-sweep report: %s ==\n",
-             sstr(report.find("binary")).c_str());
-  out += fmt("  strategy   : %s\n", sstr(report.find("strategy")).c_str());
-  out += fmt("  n          : %.0f  (fem %.0f, bem %.0f)\n",
-             dnum(report.find("n_total")), dnum(report.find("n_fem")),
-             dnum(report.find("n_bem")));
-  out += fmt("  frequencies: %.0f\n", dnum(report.find("frequencies")));
-  out += fmt("  speedup    : %.2fx recycled vs naive\n",
-             dnum(report.find("speedup_recycled_vs_naive")));
-
-  out += fmt("  %-10s %8s %9s %15s %8s %12s\n", "mode", "s/freq", "total s",
-             "factorizations", "lagged", "aca crosses");
-  for (const char* mode : {"naive", "recycled"}) {
-    const json::Value* stats = sweep_mode_stats(report, mode);
-    if (stats == nullptr) continue;
-    const json::Value* ok = stats->find("success");
-    const bool success = ok != nullptr && ok->is_bool() && ok->boolean;
-    out += fmt("  %-10s %8.3f %9.2f %15.0f %8.0f %12.0f%s\n", mode,
-               dnum(stats->find("seconds_per_frequency")),
-               dnum(stats->find("total_seconds")),
-               dnum(stats->find("factorizations")),
-               dnum(stats->find("lagged_solves")),
-               sweep_counter(stats, "aca.iterations"),
-               success ? "" : "  FAILED");
-    if (!success) {
-      const std::string why = sstr(stats->find("failure"), "");
-      if (!why.empty()) out += fmt("    failure: %s\n", why.c_str());
-    }
-  }
-
-  const json::Value* recycled = sweep_mode_stats(report, "recycled");
-  const json::Value* freqs =
-      recycled != nullptr ? recycled->find("freqs") : nullptr;
-  if (freqs != nullptr && freqs->is_array() && !freqs->array.empty()) {
-    out += "  recycled sweep per frequency:\n";
-    out += fmt("  %10s %9s %14s %7s %10s  %s\n", "omega", "s", "served by",
-               "sweeps", "rel err", "fallback");
-    for (const auto& f : freqs->array) {
-      const json::Value* lagged = f.find("lagged");
-      const bool is_lagged =
-          lagged != nullptr && lagged->is_bool() && lagged->boolean;
-      const std::string fallback = sstr(f.find("fallback_reason"), "");
-      out += fmt("  %10.4f %9.3f %14s %7.0f %10.2e  %s\n",
-                 dnum(f.find("omega")), dnum(f.find("seconds")),
-                 is_lagged ? "lagged" : "refactorized",
-                 dnum(f.find("refine_sweeps")),
-                 dnum(f.find("relative_error")),
-                 fallback.empty() ? "-" : fallback.c_str());
-    }
-  }
-  return out;
-}
-
-/// Analysis of a bench_serve flat report ("serve" per-mode array): the
-/// serving-traffic table (requests/sec, p50/p99, batch width) plus the
-/// cache counters the daemon's whole point rests on — hits on repeat
-/// fingerprints with exactly one factorization per scene.
-std::string analyze_serve_report(const json::Value& report,
-                                 const ReportOptions&) {
-  std::string out;
-  out += fmt("== serve report: %s ==\n", sstr(report.find("binary")).c_str());
-  const std::string strategy = sstr(report.find("strategy"), "");
-  if (!strategy.empty()) out += fmt("  strategy   : %s\n", strategy.c_str());
-  out += fmt("  n          : %.0f  (fem %.0f, bem %.0f)\n",
-             dnum(report.find("n_total")), dnum(report.find("nv")),
-             dnum(report.find("ns")));
-  out += fmt("  concurrency: %.0f\n", dnum(report.find("concurrency")));
-  const json::Value* speedup = report.find("coalesced_speedup");
-  if (speedup != nullptr)
-    out += fmt("  speedup    : %.2fx coalesced vs uncoalesced\n",
-               dnum(speedup));
-
-  out += fmt("  %-12s %9s %9s %9s %9s %10s %6s %6s %7s\n", "mode", "req/s",
-             "p50 ms", "p99 ms", "max batch", "batches", "hits", "misses",
-             "factos");
-  const json::Value* serve = report.find("serve");
-  if (serve != nullptr && serve->is_array()) {
-    for (const auto& m : serve->array) {
-      const double failures =
-          dnum(m.find("failures")) + dnum(m.find("mismatches"));
-      out += fmt("  %-12s %9.1f %9.2f %9.2f %9.0f %10.0f %6.0f %6.0f %7.0f%s\n",
-                 sstr(m.find("mode"), "?").c_str(),
-                 dnum(m.find("requests_per_second")), dnum(m.find("p50_ms")),
-                 dnum(m.find("p99_ms")), dnum(m.find("max_batch_columns")),
-                 dnum(m.find("coalesced_batches")), dnum(m.find("cache_hits")),
-                 dnum(m.find("cache_misses")), dnum(m.find("factorizations")),
-                 failures > 0 ? "  FAILED" : "");
-      if (failures > 0)
-        out += fmt("    %.0f failed requests, %.0f bitwise mismatches\n",
-                   dnum(m.find("failures")), dnum(m.find("mismatches")));
-    }
-  }
-  return out;
-}
-
-/// A-vs-B over two bench_sweep reports, matched by mode. The row every
-/// recycling regression shows up in: s/freq and factorization counts of
-/// the recycled sweep drifting toward the naive ones.
-std::string diff_freq_sweep_reports(const json::Value& a,
-                                    const json::Value& b) {
-  std::string out;
-  out += fmt("== sweep diff: A=%s vs B=%s ==\n",
-             sstr(a.find("binary")).c_str(), sstr(b.find("binary")).c_str());
-  out += fmt("  %-10s %9s %9s %6s %7s %7s %8s %8s\n", "mode", "s/freq A",
-             "s/freq B", "B/A", "facto A", "facto B", "lagged A", "lagged B");
-  for (const char* mode : {"naive", "recycled"}) {
-    const json::Value* sa = sweep_mode_stats(a, mode);
-    const json::Value* sb = sweep_mode_stats(b, mode);
-    if (sa == nullptr && sb == nullptr) continue;
-    if (sa == nullptr || sb == nullptr) {
-      out += fmt("  %-10s only in %s\n", mode, sa != nullptr ? "A" : "B");
-      continue;
-    }
-    const double ta = dnum(sa->find("seconds_per_frequency"));
-    const double tb = dnum(sb->find("seconds_per_frequency"));
-    out += fmt("  %-10s %9.3f %9.3f %6.2f %7.0f %7.0f %8.0f %8.0f\n", mode,
-               ta, tb, ta > 0 ? tb / ta : 0.0,
-               dnum(sa->find("factorizations")),
-               dnum(sb->find("factorizations")),
-               dnum(sa->find("lagged_solves")),
-               dnum(sb->find("lagged_solves")));
-  }
-  out += fmt("  speedup    : A %.2fx, B %.2fx recycled vs naive\n",
-             dnum(a.find("speedup_recycled_vs_naive")),
-             dnum(b.find("speedup_recycled_vs_naive")));
-  return out;
 }
 
 }  // namespace
@@ -394,19 +265,8 @@ json::Value load_report(const std::string& path) {
   std::string err;
   if (!json::parse(text, &doc, &err))
     throw std::runtime_error("cs-report: " + path + " is not JSON: " + err);
-  // Four accepted shapes: a RunReport ("runs" array), the bench_solve
-  // flat report ("sweep" nrhs array), the bench_sweep flat report
-  // ("freq_sweep" per-mode array) and the bench_serve flat report
-  // ("serve" per-mode array).
-  const bool has_runs =
-      doc.find("runs") != nullptr && doc.find("runs")->is_array();
-  const bool has_sweep =
-      doc.find("sweep") != nullptr && doc.find("sweep")->is_array();
-  const bool has_freq_sweep = doc.find("freq_sweep") != nullptr &&
-                              doc.find("freq_sweep")->is_array();
-  const bool has_serve =
-      doc.find("serve") != nullptr && doc.find("serve")->is_array();
-  if (!has_runs && !has_sweep && !has_freq_sweep && !has_serve)
+  const json::Value* runs = doc.find("runs");
+  if (runs == nullptr || !runs->is_array())
     throw std::runtime_error("cs-report: " + path +
                              " lacks a \"runs\" array (not a run report?)");
   return doc;
@@ -415,18 +275,8 @@ json::Value load_report(const std::string& path) {
 std::string analyze_report(const json::Value& report,
                            const ReportOptions& opts) {
   const json::Value* runs = report.find("runs");
-  if (runs == nullptr || !runs->is_array()) {
-    const json::Value* freq_sweep = report.find("freq_sweep");
-    if (freq_sweep != nullptr && freq_sweep->is_array())
-      return analyze_freq_sweep_report(report, opts);
-    const json::Value* serve = report.find("serve");
-    if (serve != nullptr && serve->is_array())
-      return analyze_serve_report(report, opts);
-    const json::Value* sweep = report.find("sweep");
-    if (sweep != nullptr && sweep->is_array())
-      return analyze_bench_report(report, opts);
+  if (runs == nullptr || !runs->is_array())
     throw std::runtime_error("cs-report: report lacks a \"runs\" array");
-  }
   std::string out;
   out += fmt("== report: %s (%zu runs) ==\n\n",
              sstr(report.find("binary")).c_str(), runs->array.size());
@@ -457,15 +307,12 @@ std::string analyze_report(const json::Value& report,
                format_bytes(peak).c_str(), ratio,
                planner_verdict(ratio).c_str());
   }
+  append_metrics_table(out, *runs);
   return out;
 }
 
 std::string diff_reports(const json::Value& a, const json::Value& b,
                          const ReportOptions&) {
-  // Two bench_sweep reports diff mode-by-mode instead of run-by-run.
-  if (a.find("freq_sweep") != nullptr && a.find("freq_sweep")->is_array() &&
-      b.find("freq_sweep") != nullptr && b.find("freq_sweep")->is_array())
-    return diff_freq_sweep_reports(a, b);
   const json::Value* runs_a = a.find("runs");
   const json::Value* runs_b = b.find("runs");
   if (runs_a == nullptr || !runs_a->is_array() || runs_b == nullptr ||
@@ -494,6 +341,12 @@ std::string diff_reports(const json::Value& a, const json::Value& b,
     }
     const json::Value* sa = run_stats(run_a);
     const json::Value* sb = run_stats(*run_b);
+    if (sa == nullptr && sb == nullptr) {
+      // Metrics runs: no time or peak of their own to compare.
+      out += fmt("  %s\n", key.c_str());
+      append_metrics_diff(out, run_a, *run_b);
+      continue;
+    }
     const double ta = sa != nullptr ? dnum(sa->find("total_seconds")) : 0;
     const double tb = sb != nullptr ? dnum(sb->find("total_seconds")) : 0;
     const std::size_t pa = sa != nullptr ? bnum(sa->find("peak_bytes")) : 0;
@@ -503,6 +356,7 @@ std::string diff_reports(const json::Value& a, const json::Value& b,
                format_bytes(pb).c_str(),
                pa > 0 ? static_cast<double>(pb) / static_cast<double>(pa)
                       : 0.0);
+    append_metrics_diff(out, run_a, *run_b);
   }
   for (const std::string& key : only_a)
     out += fmt("  only in A: %s\n", key.c_str());

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
@@ -58,8 +60,11 @@ const CoupledSystem<complexd>& complex_system() {
   return sys;
 }
 
+/// Per-process file names: ctest -j runs every test in its own process,
+/// and one process must never truncate a checkpoint another is reading.
 std::string ckpt_path(const std::string& name) {
-  return ::testing::TempDir() + "cs_ckpt_" + name + ".bin";
+  return ::testing::TempDir() + "cs_ckpt_" + std::to_string(::getpid()) +
+         "_" + name + ".bin";
 }
 
 /// Deterministic pseudo-random RHS block.
@@ -215,9 +220,13 @@ TEST(Checkpoint, SaveOnUnfactoredHandleFailsCleanly) {
   EXPECT_EQ(err.code, ErrorCode::kInternal);
 }
 
-/// Factorize + save once, shared by the corruption tests below.
+/// Factorize + save once, shared by the corruption tests below; the file
+/// is removed at process exit.
 const std::string& good_checkpoint() {
-  static const std::string path = [] {
+  static const struct Master {
+    std::string path;
+    ~Master() { std::remove(path.c_str()); }
+  } master{[] {
     Config cfg;
     cfg.strategy = Strategy::kMultiSolveCompressed;
     cfg.eps = 1e-4;
@@ -228,8 +237,8 @@ const std::string& good_checkpoint() {
     const std::string p = ckpt_path("master");
     EXPECT_GT(h.save(p), 0u);
     return p;
-  }();
-  return path;
+  }()};
+  return master.path;
 }
 
 std::vector<char> slurp(const std::string& path) {

@@ -92,106 +92,134 @@ TEST(CsReport, ToleratesPrePlannerReportsWithDashMarkers) {
   EXPECT_EQ(out.find("n/a"), std::string::npos);
 }
 
-/// Minimal bench_sweep-shaped report (the "freq_sweep" flat shape).
-json::Value freq_sweep_report(double recycled_spf, int factorizations) {
-  const std::string text =
-      "{\"binary\":\"bench_sweep\",\"strategy\":\"multi-solve-compressed\","
-      "\"n_total\":4318,\"n_fem\":3136,\"n_bem\":1182,\"frequencies\":2,"
-      "\"speedup_recycled_vs_naive\":2.5,\"freq_sweep\":["
-      "{\"mode\":\"naive\",\"stats\":{\"success\":true,"
-      "\"factorizations\":2,\"lagged_solves\":0,\"total_seconds\":4.0,"
-      "\"seconds_per_frequency\":2.0,\"freqs\":[]}},"
-      "{\"mode\":\"recycled\",\"stats\":{\"success\":true,"
-      "\"factorizations\":" +
-      std::to_string(factorizations) +
-      ",\"lagged_solves\":1,\"total_seconds\":1.6,"
-      "\"seconds_per_frequency\":" +
-      std::to_string(recycled_spf) +
-      ",\"freqs\":["
-      "{\"omega\":1.1,\"refactorized\":true,\"lagged\":false,"
-      "\"fallback_reason\":\"no_factors\",\"seconds\":1.4,"
-      "\"relative_error\":1.4e-08,\"refine_sweeps\":1,"
-      "\"counters\":{\"aca.iterations\":2584}},"
-      "{\"omega\":1.125,\"refactorized\":false,\"lagged\":true,"
-      "\"seconds\":0.2,\"relative_error\":1.8e-08,\"refine_sweeps\":8,"
-      "\"counters\":{\"aca.iterations\":0}}]}}]}";
+json::Value parse_report(const std::string& text) {
   json::Value doc;
   std::string err;
   EXPECT_TRUE(json::parse(text, &doc, &err)) << err;
   return doc;
 }
 
+/// A bench_sweep-style run report: one metrics run per sweep mode and one
+/// per recycled frequency.
+json::Value sweep_report(const std::string& recycled_spf,
+                         const std::string& factorizations) {
+  return parse_report(
+      "{\"binary\":\"bench_sweep\",\"runs\":["
+      "{\"label\":\"naive\",\"config_desc\":\"summary\",\"success\":true,"
+      "\"metrics\":{\"frequencies\":2,\"seconds_per_frequency\":2.0,"
+      "\"factorizations\":2,\"lagged_solves\":0}},"
+      "{\"label\":\"recycled\",\"config_desc\":\"summary\",\"success\":true,"
+      "\"metrics\":{\"frequencies\":2,\"seconds_per_frequency\":" +
+      recycled_spf + ",\"factorizations\":" + factorizations +
+      ",\"lagged_solves\":1}},"
+      "{\"label\":\"recycled\",\"config_desc\":\"omega=1.1\","
+      "\"success\":true,\"detail\":\"no_factors\",\"metrics\":{"
+      "\"omega\":1.1,\"seconds\":1.4,\"lagged\":0,"
+      "\"relative_error\":1.4e-08}},"
+      "{\"label\":\"recycled\",\"config_desc\":\"omega=1.125\","
+      "\"success\":true,\"metrics\":{\"omega\":1.125,\"seconds\":0.2,"
+      "\"lagged\":1,\"relative_error\":1.8e-08}}]}");
+}
+
 TEST(CsReport, FreqSweepAnalysisShowsModesAndServiceTiers) {
-  const json::Value report = freq_sweep_report(0.8, 1);
+  const json::Value report = sweep_report("0.8", "1");
   std::string out;
   ASSERT_NO_THROW(out = tools::analyze_report(report));
-  EXPECT_NE(out.find("frequency-sweep report: bench_sweep"),
-            std::string::npos);
-  EXPECT_NE(out.find("2.50x recycled vs naive"), std::string::npos);
-  EXPECT_NE(out.find("naive"), std::string::npos);
-  EXPECT_NE(out.find("recycled sweep per frequency"), std::string::npos);
-  // Per-frequency rows name the serving tier and the fallback reason.
-  EXPECT_NE(out.find("refactorized"), std::string::npos);
-  EXPECT_NE(out.find("lagged"), std::string::npos);
+  EXPECT_NE(out.find("== metrics =="), std::string::npos);
+  // Mode runs and per-frequency runs measure different things, so each
+  // group gets its own header row.
+  EXPECT_NE(out.find("seconds_per_frequency"), std::string::npos);
+  EXPECT_NE(out.find("relative_error"), std::string::npos);
+  EXPECT_NE(out.find("naive / summary"), std::string::npos);
+  EXPECT_NE(out.find("recycled / omega=1.125"), std::string::npos);
+  EXPECT_NE(out.find("1.4e-08"), std::string::npos);
+  // The fallback reason rides on the frequency's row as its detail.
   EXPECT_NE(out.find("no_factors"), std::string::npos);
+  EXPECT_NE(out.find("status     : success"), std::string::npos);
+  EXPECT_EQ(out.find("(no stats object)"), std::string::npos);
   EXPECT_EQ(out.find("FAILED"), std::string::npos);
 }
 
 TEST(CsReport, FreqSweepDiffComparesModesAcrossReports) {
-  const json::Value a = freq_sweep_report(0.8, 1);
-  const json::Value b = freq_sweep_report(1.6, 2);
+  const json::Value a = sweep_report("0.8", "1");
+  json::Value b = sweep_report("1.6", "2");
+  b.object[1].second.array.pop_back();  // B lacks the last frequency
   std::string out;
   ASSERT_NO_THROW(out = tools::diff_reports(a, b));
-  EXPECT_NE(out.find("sweep diff"), std::string::npos);
-  EXPECT_NE(out.find("recycled"), std::string::npos);
-  // The recycled s/freq doubled from A to B: the B/A column says 2.00.
-  EXPECT_NE(out.find("2.00"), std::string::npos);
+  // The recycled s/freq doubled from A to B: a B/A of 2.00 on its row.
+  EXPECT_NE(out.find("    seconds_per_frequency                   0.8"
+                     "        1.6   2.00"),
+            std::string::npos);
+  // A zero in A has no ratio.
+  EXPECT_NE(out.find("    lagged_solves                             0"
+                     "          0      -"),
+            std::string::npos);
+  EXPECT_NE(out.find("only in A: recycled / omega=1.125"), std::string::npos);
 }
 
-TEST(CsReport, ServeAnalysisShowsModesSpeedupAndCacheCounters) {
-  // Minimal bench_serve-shaped report (the "serve" flat shape).
-  const std::string text =
-      "{\"binary\":\"bench_serve\",\"strategy\":\"multi-solve\","
-      "\"n_total\":3000,\"nv\":2304,\"ns\":720,\"concurrency\":16,"
-      "\"coalesce_window_us\":200,\"coalesced_speedup\":4.44,\"serve\":["
-      "{\"mode\":\"uncoalesced\",\"requests\":64,\"failures\":0,"
-      "\"mismatches\":0,\"seconds\":0.37,\"requests_per_second\":172.7,"
-      "\"p50_ms\":72.68,\"p99_ms\":147.43,\"max_batch_columns\":1,"
-      "\"cache_hits\":64,\"cache_misses\":1,\"factorizations\":1,"
-      "\"coalesced_batches\":0,\"coalesced_columns\":0},"
-      "{\"mode\":\"coalesced\",\"requests\":64,\"failures\":0,"
-      "\"mismatches\":0,\"seconds\":0.08,\"requests_per_second\":766.9,"
-      "\"p50_ms\":18.11,\"p99_ms\":32.07,\"max_batch_columns\":16,"
-      "\"cache_hits\":64,\"cache_misses\":1,\"factorizations\":1,"
-      "\"coalesced_batches\":6,\"coalesced_columns\":65}]}";
-  json::Value report;
-  std::string err;
-  ASSERT_TRUE(json::parse(text, &report, &err)) << err;
+TEST(CsReport, ServeAnalysisShowsModesAndCacheCounters) {
+  const json::Value report = parse_report(
+      "{\"binary\":\"bench_serve\",\"runs\":["
+      "{\"label\":\"uncoalesced\",\"config_desc\":\"multi-solve\","
+      "\"config\":{\"strategy\":\"multi-solve\"},\"success\":true,"
+      "\"metrics\":{\"requests\":64,\"requests_per_second\":172.7,"
+      "\"p99_ms\":147.43,\"cache_hits\":64,\"factorizations\":1}},"
+      "{\"label\":\"coalesced\",\"config_desc\":\"multi-solve\","
+      "\"config\":{\"strategy\":\"multi-solve\"},\"success\":true,"
+      "\"metrics\":{\"requests\":64,\"requests_per_second\":766.9,"
+      "\"p99_ms\":32.07,\"cache_hits\":64,\"factorizations\":1}}]}");
   std::string out;
   ASSERT_NO_THROW(out = tools::analyze_report(report));
-  EXPECT_NE(out.find("serve report: bench_serve"), std::string::npos);
-  EXPECT_NE(out.find("4.44x coalesced vs uncoalesced"), std::string::npos);
-  EXPECT_NE(out.find("uncoalesced"), std::string::npos);
+  EXPECT_NE(out.find("uncoalesced / multi-solve"), std::string::npos);
+  EXPECT_NE(out.find("cache_hits"), std::string::npos);
   EXPECT_NE(out.find("766.9"), std::string::npos);  // coalesced req/s
   EXPECT_NE(out.find("32.07"), std::string::npos);  // coalesced p99
+  // Both modes share one metric set, hence one header row.
+  EXPECT_EQ(out.find("requests_per_second"),
+            out.rfind("requests_per_second"));
   EXPECT_EQ(out.find("FAILED"), std::string::npos);
 }
 
 TEST(CsReport, ServeAnalysisFlagsFailedOrMismatchedRequests) {
-  const std::string text =
-      "{\"binary\":\"bench_serve\",\"n_total\":3000,\"nv\":2304,\"ns\":720,"
-      "\"concurrency\":16,\"serve\":[{\"mode\":\"coalesced\",\"requests\":8,"
-      "\"failures\":0,\"mismatches\":2,\"requests_per_second\":100.0,"
-      "\"p50_ms\":1.0,\"p99_ms\":2.0,\"max_batch_columns\":4,"
-      "\"cache_hits\":8,\"cache_misses\":1,\"factorizations\":1,"
-      "\"coalesced_batches\":2,\"coalesced_columns\":8}]}";
-  json::Value report;
-  std::string err;
-  ASSERT_TRUE(json::parse(text, &report, &err)) << err;
+  // bench_serve marks a pass failed when any request failed or any reply
+  // mismatched; the analyzer shows the run's own success flag.
+  const json::Value report = parse_report(
+      "{\"binary\":\"bench_serve\",\"runs\":["
+      "{\"label\":\"coalesced\",\"config_desc\":\"multi-solve\","
+      "\"success\":false,\"detail\":\"2 bitwise mismatches\","
+      "\"metrics\":{\"requests\":8,\"failures\":0,\"mismatches\":2}}]}");
   std::string out;
   ASSERT_NO_THROW(out = tools::analyze_report(report));
-  EXPECT_NE(out.find("FAILED"), std::string::npos);
-  EXPECT_NE(out.find("2 bitwise mismatches"), std::string::npos);
+  EXPECT_NE(out.find("status     : FAILED (2 bitwise mismatches)"),
+            std::string::npos);
+  EXPECT_NE(out.find(" FAILED "), std::string::npos);  // the table row
+  EXPECT_NE(out.find("          2  2 bitwise mismatches"),
+            std::string::npos);
+}
+
+TEST(CsReport, LoadRejectsRetiredFlatShapes) {
+  // The flat bench_solve / bench_sweep / bench_serve shapes are gone:
+  // every driver writes the one "runs" shape.
+  const std::string path =
+      ::testing::TempDir() + "/cs_report_test.flat.json";
+  for (const char* text :
+       {"{\"binary\":\"bench_solve\",\"sweep\":[{\"nrhs\":1,\"ok\":true}]}",
+        "{\"binary\":\"bench_sweep\",\"freq_sweep\":[{\"mode\":\"naive\"}]}",
+        "{\"binary\":\"bench_serve\",\"serve\":[{\"mode\":\"coalesced\"}]}"}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    try {
+      tools::load_report(path);
+      ADD_FAILURE() << "accepted a flat report: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("lacks a \"runs\" array"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CsReport, LoadRejectsMissingAndMalformedFiles) {

@@ -352,18 +352,44 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   EXPECT_TRUE(names.count("panels.inflight"));
   std::remove(trace_path.c_str());
 
-  // The report writer renders the same stats as valid JSON.
+  // The report writer renders the same stats as valid JSON, and a
+  // driver's metrics and detail (with or without stats) round-trip too.
   coupled::RunReport report("trace_test");
   report.add("multi-solve-compressed", "traced", cfg, stats);
+  report.add("multi-solve-compressed", "nrhs=1", cfg, stats,
+             {{"solves_per_sec", 12.5}, {"max_column_error", 1e-9}});
+  report.add("recycled", "omega=1.1", nullptr, false,
+             {{"omega", 1.1}, {"lagged", 0}}, "no_factors");
   json::Value report_doc;
   ASSERT_TRUE(json::parse(report.json(), &report_doc, &err)) << err;
   const json::Value* runs = report_doc.find("runs");
   ASSERT_NE(runs, nullptr);
-  ASSERT_EQ(runs->array.size(), 1u);
+  ASSERT_EQ(runs->array.size(), 3u);
   const json::Value* run_stats = runs->array[0].find("stats");
   ASSERT_NE(run_stats, nullptr);
   EXPECT_NE(run_stats->find("counters"), nullptr);
   EXPECT_NE(run_stats->find("stages"), nullptr);
+  EXPECT_EQ(runs->array[0].find("metrics"), nullptr);
+  EXPECT_EQ(runs->array[0].find("success"), nullptr);  // stats carry it
+
+  const json::Value& with_stats = runs->array[1];
+  EXPECT_NE(with_stats.find("stats"), nullptr);
+  const json::Value* metrics = with_stats.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->object.size(), 2u);
+  EXPECT_EQ(metrics->object[0].first, "solves_per_sec");  // added order
+  EXPECT_EQ(metrics->object[0].second.number, 12.5);
+  EXPECT_EQ(metrics->object[1].second.number, 1e-9);
+
+  const json::Value& metrics_only = runs->array[2];
+  EXPECT_EQ(metrics_only.find("stats"), nullptr);
+  EXPECT_EQ(metrics_only.find("config"), nullptr);
+  ASSERT_NE(metrics_only.find("success"), nullptr);
+  EXPECT_FALSE(metrics_only.find("success")->boolean);
+  ASSERT_NE(metrics_only.find("detail"), nullptr);
+  EXPECT_EQ(metrics_only.find("detail")->string, "no_factors");
+  ASSERT_NE(metrics_only.find("metrics"), nullptr);
+  EXPECT_EQ(metrics_only.find("metrics")->find("omega")->number, 1.1);
 }
 
 TEST_F(TraceTest, EveryTimedPhaseAndStageIsTraced) {
