@@ -1,6 +1,6 @@
 // Observability smoke test: runs one small traced solve per strategy,
 // self-validates the exported Chrome trace (schema, thread tracks,
-// pipeline-stage spans, memory timeline) and the run report, and exits
+// stage spans, memory timeline) and the run report, and exits
 // non-zero on any problem. CI runs this binary and archives the --trace /
 // --report artifacts; it doubles as a quick end-to-end check that the
 // tracing layer stays wired through every solve path.
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
     Config cfg;
     cfg.strategy = s;
     cfg.num_threads = threads;
-    // Small panels/blocks so even this toy size exercises the pipeline and
-    // the multi-factorization job graph with real parallelism.
+    // Small panels/blocks so even this toy size folds several Schur panels
+    // and runs the multi-factorization job graph with real parallelism.
     cfg.n_c = 32;
     cfg.n_S = 64;
     cfg.n_b = 2;
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   for (const char* required :
        {"schur.panel_solve", "schur.axpy", "multifacto.factor",
         "solution.schur_solve", "mf.factor", "hmat.assemble",
-        "memory.current", "memory.peak", "panels.inflight",
+        "memory.current", "memory.peak", "jobs.inflight",
         "mem.mf.front", "mem.schur.dense", "mem.rhs.workspace",
         "mem.hmat.rk"}) {
     expect(names.count(required) > 0,

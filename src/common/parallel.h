@@ -1,13 +1,12 @@
 // Shared threading utilities for the task-parallel execution layer.
 //
 // Every parallel path in the library (H-matrix leaf loops, the multifrontal
-// task tree, the coupled driver's Schur pipeline and block-parallel
-// multi-factorization) follows the same two rules, which these helpers
-// encode once:
+// task tree and block-parallel multi-factorization) follows the same two
+// rules, which these helpers encode once:
 //  * exceptions (BudgetExceeded, SingularMatrix) raised inside a worker
-//    must never escape an OpenMP region or a std::thread -- they are
-//    captured and rethrown on the calling thread, so a parallel run fails
-//    exactly like the serial run;
+//    must never escape an OpenMP region -- they are captured and rethrown
+//    on the calling thread, so a parallel run fails exactly like the
+//    serial run;
 //  * the thread count is a per-solve knob (coupled::Config::num_threads),
 //    installed with ScopedNumThreads and read back with resolve_threads,
 //    never a process-wide hardcode.
@@ -16,13 +15,9 @@
 #include <omp.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -125,72 +120,5 @@ inline void run_task_group(int depth, std::vector<std::function<void()>> fs) {
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
 }
-
-/// Bounded single-producer / single-consumer queue backing the coupled
-/// driver's Schur pipeline: the producer blocks when `capacity` items are
-/// in flight (that is how the memory cap on in-flight panels is enforced),
-/// the consumer blocks when the queue is empty. close() signals the end of
-/// the stream; cancel() aborts from the consumer side, dropping queued
-/// items and unblocking the producer.
-template <class T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity > 0 ? capacity : 1) {}
-
-  /// Blocks until there is space; returns false if the queue was cancelled
-  /// (the item is dropped and the producer should stop).
-  bool push(T item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    space_.wait(lock,
-                [&] { return cancelled_ || items_.size() < capacity_; });
-    if (cancelled_) return false;
-    items_.push_back(std::move(item));
-    ready_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available; returns nullopt once the queue is
-  /// closed and drained (or cancelled).
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock,
-                [&] { return cancelled_ || closed_ || !items_.empty(); });
-    if (cancelled_ || items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    space_.notify_one();
-    return item;
-  }
-
-  /// Producer side: no more items will be pushed.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  /// Consumer side: abort the stream, dropping anything queued.
-  void cancel() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cancelled_ = true;
-      items_.clear();
-    }
-    ready_.notify_all();
-    space_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::condition_variable space_;
-  std::deque<T> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool cancelled_ = false;
-};
 
 }  // namespace cs

@@ -30,7 +30,7 @@ class Timer {
 /// Accumulates named phase durations; used by coupled::SolveStats.
 ///
 /// Thread-safe: ScopedPhase instances may be opened concurrently from
-/// pipeline stages and worker threads. Overlapping scopes of the *same*
+/// worker threads. Overlapping scopes of the *same*
 /// phase are merged -- the phase accumulates the wall-clock time during
 /// which at least one scope was active, not the sum over threads -- so a
 /// phase never double-counts when its work fans out over a team.

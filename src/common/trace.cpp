@@ -412,12 +412,7 @@ std::string validate_chrome_trace(const std::string& json_text) {
 
 const char* metric_name(Metric m) {
   switch (m) {
-    case Metric::kPanelsProduced: return "pipeline.panels_produced";
-    case Metric::kPanelsFolded: return "pipeline.panels_folded";
-    case Metric::kPipelineProducerStallSec:
-      return "pipeline.producer_stall_s";
-    case Metric::kPipelineConsumerStallSec:
-      return "pipeline.consumer_stall_s";
+    case Metric::kPanelsFolded: return "schur.panels_folded";
     case Metric::kMultifactoJobs: return "multifacto.jobs";
     case Metric::kAdmissionWaits: return "admission.waits";
     case Metric::kAdmissionWaitSec: return "admission.wait_s";

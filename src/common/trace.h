@@ -1,15 +1,15 @@
 // Solver-wide tracing and metrics.
 //
-// The paper's figures are per-phase time and peak-memory curves; the
-// task-parallel execution layer added in PR 1 made *where inside a phase*
-// the pipeline stalls invisible to those coarse buckets. This layer records
-// a task-level timeline of the whole solve path:
+// The paper's figures are per-phase time and peak-memory curves; *where
+// inside a phase* the time goes (which stage, on which worker) is
+// invisible to those coarse buckets. This layer records a task-level
+// timeline of the whole solve path:
 //
 //  * TraceSpan    — RAII duration spans ("B"/"E" events) with a category
 //                   and optional key/value args, recorded into per-thread
 //                   ring buffers;
 //  * trace_instant / trace_counter — point events and counter samples;
-//  * trace_gauge_add — named in-flight gauges (live panel/job counts) that
+//  * trace_gauge_add — named in-flight gauges (live job counts) that
 //                   emit a counter sample on every change and are also
 //                   polled by the sampler;
 //  * TraceSampler — a background thread periodically sampling
@@ -20,7 +20,7 @@
 //  * validate_chrome_trace — structural validation of an exported trace
 //                   (used by tests and the CI smoke driver);
 //  * Metrics      — always-on scalar run counters (admission decisions,
-//                   pipeline stall time, recompression ranks) summarized
+//                   panels folded, recompression ranks) summarized
 //                   into coupled::SolveStats::counters.
 //
 // Cost model: when tracing is disabled every recording entry point is one
@@ -251,10 +251,7 @@ std::string validate_chrome_trace(const std::string& json_text);
 /// SolveStats::counters), so several solves in one process — a frequency
 /// sweep, a bench driver — each carry their own numbers.
 enum class Metric : int {
-  kPanelsProduced = 0,       ///< multi-solve pipeline panels built
-  kPanelsFolded,             ///< panels folded into the Schur accumulator
-  kPipelineProducerStallSec, ///< producer blocked on a full panel queue
-  kPipelineConsumerStallSec, ///< consumer blocked on an empty panel queue
+  kPanelsFolded = 0,         ///< panels folded into the Schur accumulator
   kMultifactoJobs,           ///< (bi, bj) factorization jobs run
   kAdmissionWaits,           ///< acquire() calls that had to wait
   kAdmissionWaitSec,         ///< total time spent waiting for admission

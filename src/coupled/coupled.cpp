@@ -7,7 +7,6 @@
 #include <limits>
 #include <optional>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <variant>
 
@@ -834,104 +833,31 @@ void run_multisolve(Run<T, ST>& run, bool blocked, bool compressed) {
       HMatrix<ST>& S = *S_store;
       const index_t panel = std::max(cfg.n_S, cfg.n_c);
 
-      auto produce_panel = [&](index_t c0) {
-        // Scope installed here so the producer thread tags its panels too.
-        MemoryScope scope(MemTag::kSchurPanel);
-        const index_t np = std::min(panel, ns - c0);
-        budget_failpoint("alloc.panel", ns, np, sizeof(ST));
-        Matrix<ST> Z(ns, np);
-        for (index_t cc = 0; cc < np; cc += cfg.n_c) {
-          const index_t nc = std::min(cfg.n_c, np - cc);
-          const Matrix<ST> Y = solve_panel(c0 + cc, nc);
-          auto stage = Timed::stage(stats, "schur.spmm");
-          run.A_sv_st->spmm(ST{1}, Y.view(), ST{0}, Z.block(0, cc, ns, nc));
-        }
-        Metrics::instance().add(Metric::kPanelsProduced, 1);
-        return Z;
-      };
-
-      auto fold_panel = [&](index_t c0, Matrix<ST>& Z) {
+      // Alg. 2: Z = A_sv A_vv^{-1} A_sv(c0 : c0 + np)^T from n_c-column
+      // sparse solves, then S(:, c0 : c0 + np) -= Z with a compressed AXPY.
+      // The AXPY costs milliseconds against a second of panel solves
+      // (EXPERIMENTS.md), so the panels are folded on this thread, one live
+      // panel at a time, in ascending c0 order.
+      for (index_t c0 = 0; c0 < ns; c0 += panel) {
+        Matrix<ST> Z = [&] {
+          MemoryScope scope(MemTag::kSchurPanel);
+          const index_t np = std::min(panel, ns - c0);
+          budget_failpoint("alloc.panel", ns, np, sizeof(ST));
+          Matrix<ST> Z(ns, np);
+          for (index_t cc = 0; cc < np; cc += cfg.n_c) {
+            const index_t nc = std::min(cfg.n_c, np - cc);
+            const Matrix<ST> Y = solve_panel(c0 + cc, nc);
+            auto stage = Timed::stage(stats, "schur.spmm");
+            run.A_sv_st->spmm(ST{1}, Y.view(), ST{0}, Z.block(0, cc, ns, nc));
+          }
+          return Z;
+        }();
         auto stage = Timed::stage(stats, "schur.axpy");
         stage.span()
             .arg("c0", static_cast<long long>(c0))
             .arg("ncols", static_cast<long long>(Z.cols()));
         S.add_dense_block(ST{-1}, Z.view(), 0, c0);  // compressed AXPY
         Metrics::instance().add(Metric::kPanelsFolded, 1);
-      };
-
-      // Pipeline: the sparse solves + SpMM of panel i+1 (producer thread)
-      // overlap the compressed AXPY of panel i (this thread). The number
-      // of panels concurrently alive is capped by the planner's per-panel
-      // footprint estimate against the budget headroom, so the virtual
-      // budget holds; near the budget the cap degrades to 1 and the loop
-      // below runs exactly like the serial algorithm. Panels are folded in
-      // ascending c0 order either way, so the recompression sequence --
-      // and hence the result -- is identical to a serial run.
-      const int inflight = admissible_inflight(
-          multisolve_panel_bytes(nv, ns, cfg, sizeof(ST)), cfg.memory_budget,
-          MemoryTracker::instance().current(), 3);
-      const bool overlap = resolve_threads(cfg.num_threads) > 1 && ns > panel;
-      if (!overlap || inflight <= 1) {
-        if (overlap) {
-          // The planner degraded the pipeline to the serial algorithm.
-          Metrics::instance().add(Metric::kAdmissionDegraded, 1);
-          trace_instant("admission", "pipeline.degraded_serial");
-        }
-        for (index_t c0 = 0; c0 < ns; c0 += panel) {
-          Matrix<ST> Z = produce_panel(c0);
-          fold_panel(c0, Z);
-        }
-      } else {
-        struct Panel {
-          index_t c0;
-          Matrix<ST> Z;
-        };
-        // Live panels = queued + one in production + one being folded.
-        BoundedQueue<Panel> queue(
-            static_cast<std::size_t>(std::max(1, inflight - 2)));
-        std::exception_ptr producer_error = nullptr;
-        std::thread producer([&] {
-          trace_thread_name("schur.producer");
-          try {
-            for (index_t c0 = 0; c0 < ns; c0 += panel) {
-              Panel p{c0, produce_panel(c0)};
-              trace_gauge_add("panels.inflight", 1);
-              Timer stall;
-              bool pushed;
-              {
-                auto stage = Timed::stage(stats, "schur.stall_producer");
-                pushed = queue.push(std::move(p));
-              }
-              Metrics::instance().add(Metric::kPipelineProducerStallSec,
-                                      stall.seconds());
-              if (!pushed) return;  // consumer cancelled
-            }
-          } catch (...) {
-            producer_error = std::current_exception();
-          }
-          queue.close();
-        });
-        try {
-          while (true) {
-            Timer stall;
-            std::optional<Panel> p;
-            {
-              auto stage = Timed::stage(stats, "schur.stall_consumer");
-              p = queue.pop();
-            }
-            Metrics::instance().add(Metric::kPipelineConsumerStallSec,
-                                    stall.seconds());
-            if (!p) break;
-            trace_gauge_add("panels.inflight", -1);
-            fold_panel(p->c0, p->Z);
-          }
-        } catch (...) {
-          queue.cancel();
-          producer.join();
-          throw;
-        }
-        producer.join();
-        if (producer_error) std::rethrow_exception(producer_error);
       }
     }
     run.finish(std::move(mf), std::move(*S_store));

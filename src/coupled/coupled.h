@@ -130,8 +130,8 @@ struct Config {
   Precision factor_precision = Precision::kDouble;
 
   /// Worker threads for the task-parallel execution layer (H-matrix leaf
-  /// loops, H-LU tasks, the Schur pipeline, block-parallel
-  /// multi-factorization and the multifrontal tree walk). 0 = hardware
+  /// loops, H-LU tasks, block-parallel multi-factorization and the
+  /// multifrontal tree walk). 0 = hardware
   /// default (omp_get_max_threads()). Results are identical to a serial
   /// run for every value.
   int num_threads = 0;
@@ -197,12 +197,12 @@ struct SolveStats {
   PhaseTimes phases;  ///< sparse_factorization / schur / dense_factorization
                       ///< / solution
   /// Finer, dotted per-stage breakdown inside the phases (e.g.
-  /// schur.panel_solve, schur.spmm, schur.axpy, schur.stall_producer,
-  /// multifacto.factor, solution.refine). Stages of one phase may overlap
-  /// in a pipelined run, so their sum can exceed the phase time.
+  /// schur.panel_solve, schur.spmm, schur.axpy, multifacto.factor,
+  /// solution.refine). Stages timed on concurrent workers or nested inside
+  /// one another can sum to more than the phase time.
   PhaseTimes stages;
   /// Run counter summary (common/trace.h Metrics): admission decisions,
-  /// pipeline stall seconds, recompression counts and max achieved rank...
+  /// panels folded, recompression counts and max achieved rank...
   std::map<std::string, double> counters;
 
   std::size_t peak_bytes = 0;          ///< tracked peak over the whole run

@@ -72,10 +72,8 @@ PlannerInputs planner_inputs(const fembem::CoupledSystem<T>& sys,
   return in;
 }
 
-/// Transient footprint of one in-flight multi-solve panel: the nv x n_c
-/// sparse-solve panel Y plus the ns x max(n_S, n_c) Schur panel Z. This is
-/// the unit the pipelined multi-solve multiplies by its number of
-/// concurrently live panels.
+/// Transient footprint of the one live compressed multi-solve panel: the
+/// nv x n_c sparse-solve panel Y plus the ns x max(n_S, n_c) Schur panel Z.
 inline std::size_t multisolve_panel_bytes(index_t nv, index_t ns,
                                           const Config& cfg,
                                           std::size_t scalar_bytes) {

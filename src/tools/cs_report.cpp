@@ -183,7 +183,7 @@ void append_run_analysis(std::string& out, const json::Value& run,
                ckpt_bytes > 0 ? format_bytes(ckpt_bytes).c_str() : "-");
   }
 
-  // Hottest pipeline stages.
+  // Hottest stages.
   const json::Value* stages = stats->find("stages");
   if (stages != nullptr && stages->is_object() && !stages->object.empty()) {
     std::vector<std::pair<std::string, double>> hot;
@@ -291,21 +291,16 @@ std::string analyze_report(const json::Value& report,
   for (const auto& run : runs->array) {
     const json::Value* stats = run_stats(run);
     if (stats == nullptr) continue;
-    const json::Value* predicted_v = stats->find("planner_predicted_bytes");
-    const std::size_t predicted = bnum(predicted_v);
+    const std::size_t predicted = bnum(stats->find("planner_predicted_bytes"));
     const std::size_t peak = bnum(stats->find("peak_bytes"));
-    if (predicted_v == nullptr &&
-        stats->find("planner_misprediction") == nullptr) {
-      // Pre-planner report: the run never carried an audit.
-      out += fmt("  %-34s %12s %12s %7s  %s\n", run_key(run).c_str(), "-",
-                 format_bytes(peak).c_str(), "-", "-");
-      continue;
-    }
+    // A ratio of 0 is "unknown" (SolveStats): a run the planner did not
+    // predict, or a report written before the planner existed.
     const double ratio = dnum(stats->find("planner_misprediction"));
-    out += fmt("  %-34s %12s %12s %7.2f  %s\n", run_key(run).c_str(),
+    out += fmt("  %-34s %12s %12s %7s  %s\n", run_key(run).c_str(),
                predicted > 0 ? format_bytes(predicted).c_str() : "-",
-               format_bytes(peak).c_str(), ratio,
-               planner_verdict(ratio).c_str());
+               format_bytes(peak).c_str(),
+               ratio > 0 ? fmt("%.2f", ratio).c_str() : "-",
+               ratio > 0 ? planner_verdict(ratio).c_str() : "-");
   }
   append_metrics_table(out, *runs);
   return out;

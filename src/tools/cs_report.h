@@ -1,7 +1,7 @@
 // Run-report analyzer: turns the JSON reports emitted by the benchmarks
 // (--report=...) into human-readable summaries -- per-run peak-attribution
 // tables from the memory ledger, planner predicted-vs-actual audits, the
-// top-N pipeline stages by time, one table of every run's driver metrics,
+// top-N stages by time, one table of every run's driver metrics,
 // and an A-vs-B diff between two reports. Every bench driver writes the one
 // RunReport shape (coupled/report.h), so there is one path for each.
 //
@@ -18,7 +18,7 @@
 namespace cs::tools {
 
 struct ReportOptions {
-  /// How many pipeline stages (by seconds, descending) to print per run.
+  /// How many stages (by seconds, descending) to print per run.
   std::size_t top_stages = 8;
 };
 

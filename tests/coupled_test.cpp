@@ -209,8 +209,8 @@ TEST(Coupled, PhasesCoverTotalTime) {
 class ThreadSweep : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(ThreadSweep, ParallelRunIdenticalToSerial) {
-  // The task-parallel layer (pipelined multi-solve, leaf-parallel AXPYs,
-  // task-parallel H-LU, block-parallel multi-factorization) commits every
+  // The task-parallel layer (leaf-parallel AXPYs, task-parallel H-LU,
+  // block-parallel multi-factorization, the multifrontal tree) commits every
   // contribution in the serial order, so a 4-thread run must reproduce the
   // 1-thread result exactly -- not merely within tolerance.
   Config serial, parallel;
@@ -246,7 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Coupled, BudgetFailureInParallelWorkersIsReportedNotThrown) {
-  // BudgetExceeded raised inside pipeline / task workers must surface as
+  // BudgetExceeded raised inside OpenMP task workers must surface as
   // the same clean stats.failure a serial run produces -- never escape an
   // OpenMP region or leak tracked memory.
   const auto& sys = real_system();  // materialize the lazy static first

@@ -99,6 +99,34 @@ json::Value parse_report(const std::string& text) {
   return doc;
 }
 
+TEST(CsReport, SolveRunShowsMeasuredErrorAndPeakWithoutPlannerVerdict) {
+  // A bench_solve nrhs=N run: the driver stores its measured column error
+  // and the solve's tracked peak in the stats; the planner predicts no
+  // solve, so its fields stay 0 ("unknown").
+  const json::Value report = parse_report(
+      "{\"binary\":\"bench_solve\",\"runs\":["
+      "{\"label\":\"nrhs=16\",\"config_desc\":\"multi-solve-compressed\","
+      "\"stats\":{\"success\":true,\"relative_error\":2.5e-10,"
+      "\"peak_bytes\":9437184,\"planner_predicted_bytes\":0,"
+      "\"planner_misprediction\":0},"
+      "\"metrics\":{\"solves_per_sec\":120.5,"
+      "\"max_column_error\":2.5e-10}}]}");
+  std::string out;
+  ASSERT_NO_THROW(out = tools::analyze_report(report));
+  EXPECT_NE(out.find("rel error  : 2.500e-10"), std::string::npos) << out;
+  EXPECT_NE(out.find("peak       : 9.00 MiB"), std::string::npos) << out;
+  // The audit row prints dashes for the unknown ratio and verdict, not a
+  // 0.00 ratio with an n/a verdict.
+  const std::size_t audit = out.find("== planner audit");
+  ASSERT_NE(audit, std::string::npos);
+  const std::size_t row = out.find("nrhs=16 / multi-solve-compressed", audit);
+  ASSERT_NE(row, std::string::npos) << out;
+  const std::string line = out.substr(row, out.find('\n', row) - row);
+  EXPECT_NE(line.find("9.00 MiB       -  -"), std::string::npos) << line;
+  EXPECT_EQ(out.find("0.00 B"), std::string::npos) << out;
+  EXPECT_EQ(out.find("n/a"), std::string::npos) << out;
+}
+
 /// A bench_sweep-style run report: one metrics run per sweep mode and one
 /// per recycled frequency.
 json::Value sweep_report(const std::string& recycled_spf,

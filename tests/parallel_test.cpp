@@ -3,8 +3,6 @@
 // and error paths (budget) must propagate out of the parallel regions.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/parallel.h"
 #include "common/random.h"
 #include "fembem/system.h"
@@ -152,31 +150,6 @@ TEST(TaskHelpers, RunTaskGroupRunsEveryThunkAndRethrowsFirstError) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");
   }
-}
-
-TEST(TaskHelpers, BoundedQueueDeliversInOrder) {
-  BoundedQueue<int> q(2);
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.push(i));
-    q.close();
-  });
-  int expected = 0;
-  while (auto item = q.pop()) EXPECT_EQ(*item, expected++);
-  producer.join();
-  EXPECT_EQ(expected, 100);
-}
-
-TEST(TaskHelpers, BoundedQueueCancelUnblocksProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));
-  std::thread producer([&] {
-    // This push blocks on the full queue until cancel().
-    EXPECT_FALSE(q.push(1));
-  });
-  // Consumer aborts: the producer must observe the cancel and stop.
-  q.cancel();
-  producer.join();
-  EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(ParallelHlu, FactorizationIdenticalAcrossThreadCounts) {

@@ -255,12 +255,12 @@ TEST_F(TraceTest, ValidatorRejectsMalformedTraces) {
 TEST_F(TraceTest, MetricsSnapshotReportsNonZeroCounters) {
   auto& metrics = Metrics::instance();
   metrics.reset();
-  metrics.add(Metric::kPanelsProduced, 3);
-  metrics.add(Metric::kPanelsProduced, 2);
+  metrics.add(Metric::kPanelsFolded, 3);
+  metrics.add(Metric::kPanelsFolded, 2);
   metrics.observe_max(Metric::kRecompressRankMax, 17);
   metrics.observe_max(Metric::kRecompressRankMax, 11);  // not a new max
   auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.at("pipeline.panels_produced"), 5);
+  EXPECT_EQ(snap.at("schur.panels_folded"), 5);
   EXPECT_EQ(snap.at("recompress.rank_max"), 17);
   EXPECT_EQ(snap.count("refine.sweeps"), 0u);  // zero counters omitted
   metrics.reset();
@@ -325,11 +325,10 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
   // Stage timings and run counters landed in the stats.
   EXPECT_GT(stats.stages.get("schur.panel_solve"), 0.0);
   EXPECT_GT(stats.stages.get("schur.axpy"), 0.0);
-  EXPECT_GT(stats.counters.at("pipeline.panels_produced"), 0.0);
-  EXPECT_EQ(stats.counters.at("pipeline.panels_produced"),
-            stats.counters.at("pipeline.panels_folded"));
+  // One folded panel per n_S = 32 columns of S.
+  EXPECT_EQ(stats.counters.at("schur.panels_folded"), (sys.ns() + 31) / 32);
 
-  // The exported trace is a valid file with the pipeline spans and the
+  // The exported trace is a valid file with the Schur stage spans and the
   // memory timeline the solve session sampled.
   const std::string trace_path =
       ::testing::TempDir() + "/trace_test.solve.trace.json";
@@ -349,7 +348,6 @@ TEST_F(TraceTest, TracedSolveProducesValidTraceAndReport) {
     if (e.find("name") != nullptr) names.insert(e.find("name")->string);
   EXPECT_TRUE(names.count("schur.panel_solve"));
   EXPECT_TRUE(names.count("memory.current"));
-  EXPECT_TRUE(names.count("panels.inflight"));
   std::remove(trace_path.c_str());
 
   // The report writer renders the same stats as valid JSON, and a
